@@ -6,12 +6,12 @@
 //
 // Expected shape: SRU ~1.7x faster than LSTM at equal size; the compressed
 // models another ~1.8x faster (paper Sec. 7.3).
-// PR 4 extension: per-node latency comparison of the three inference paths —
-// the taped autograd Forward (the seed path), the legacy recursive fast walk
-// (tape-free, node-at-a-time), and the level-batched tape-free Infer — plus
-// a multi-tree batch lane. Prints per-node times and speedups, verifies the
-// batched outputs are bit-identical to Forward, and appends one JSON summary
-// line per model to the --metrics_json file.
+// Also compares per-node latency of the two inference walks — the taped
+// autograd Forward (training path and bit-identity oracle) and the
+// level-batched tape-free Infer — plus a multi-tree batch lane. Prints
+// per-node times and speedups, appends one JSON summary line per model to
+// the --metrics_json file, and exits non-zero unless every model's batched
+// outputs are bit-identical to Forward.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -84,7 +84,7 @@ const TreeSet& GetTreeSet() {
   return set;
 }
 
-enum class Path { kTaped, kFastWalk, kBatched, kBatchedMultiTree };
+enum class Path { kTaped, kBatched, kBatchedMultiTree };
 
 /// One state iteration = one tree (or all trees for the multi-tree lane);
 /// items processed = plan nodes, so benchmark's items/s is nodes/s and the
@@ -92,7 +92,6 @@ enum class Path { kTaped, kFastWalk, kBatched, kBatchedMultiTree };
 void PerNodeLane(benchmark::State& state, const model::TreeModel& m,
                  Path path) {
   const TreeSet& set = GetTreeSet();
-  model::TreeModel::SetBatchedInferEnabled(path != Path::kFastWalk);
   std::vector<std::pair<const qry::Query*, const model::EstNode*>> batch;
   for (size_t t = 0; t < set.trees.size(); ++t) {
     batch.emplace_back(set.queries[t], set.trees[t].get());
@@ -106,7 +105,6 @@ void PerNodeLane(benchmark::State& state, const model::TreeModel& m,
       case Path::kTaped:
         benchmark::DoNotOptimize(m.Forward(*set.queries[t], set.trees[t].get()));
         break;
-      case Path::kFastWalk:
       case Path::kBatched:
         benchmark::DoNotOptimize(
             m.PredictCardFast(*set.queries[t], set.trees[t].get()));
@@ -121,15 +119,11 @@ void PerNodeLane(benchmark::State& state, const model::TreeModel& m,
                  : static_cast<int64_t>(set.total_nodes / set.trees.size());
     ++i;
   }
-  model::TreeModel::SetBatchedInferEnabled(true);
   state.SetItemsProcessed(items);
 }
 
 void BM_PerNode_Taped(benchmark::State& s) {
   PerNodeLane(s, *GetWorld().lpce_s, Path::kTaped);
-}
-void BM_PerNode_FastWalk(benchmark::State& s) {
-  PerNodeLane(s, *GetWorld().lpce_s, Path::kFastWalk);
 }
 void BM_PerNode_Batched(benchmark::State& s) {
   PerNodeLane(s, *GetWorld().lpce_s, Path::kBatched);
@@ -139,7 +133,6 @@ void BM_PerNode_BatchedMultiTree(benchmark::State& s) {
 }
 
 BENCHMARK(BM_PerNode_Taped)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_PerNode_FastWalk)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PerNode_Batched)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PerNode_BatchedMultiTree)->Unit(benchmark::kMicrosecond);
 
@@ -150,7 +143,6 @@ BENCHMARK(BM_PerNode_BatchedMultiTree)->Unit(benchmark::kMicrosecond);
 /// not: one preempted sweep would poison the whole lane).
 double TimePath(const model::TreeModel& m, Path path, int repeats) {
   const TreeSet& set = GetTreeSet();
-  model::TreeModel::SetBatchedInferEnabled(path != Path::kFastWalk);
   std::vector<std::pair<const qry::Query*, const model::EstNode*>> batch;
   for (size_t t = 0; t < set.trees.size(); ++t) {
     batch.emplace_back(set.queries[t], set.trees[t].get());
@@ -180,7 +172,6 @@ double TimePath(const model::TreeModel& m, Path path, int repeats) {
         std::chrono::duration<double, std::nano>(end - start).count();
     if (ns < best_ns) best_ns = ns;
   }
-  model::TreeModel::SetBatchedInferEnabled(true);
   return best_ns / static_cast<double>(set.total_nodes);
 }
 
@@ -189,7 +180,6 @@ double TimePath(const model::TreeModel& m, Path path, int repeats) {
 /// lets the engine switch paths without regenerating goldens).
 bool BatchedOutputsBitIdentical(const model::TreeModel& m) {
   const TreeSet& set = GetTreeSet();
-  model::TreeModel::SetBatchedInferEnabled(true);
   std::vector<std::pair<const qry::Query*, const model::EstNode*>> batch;
   for (size_t t = 0; t < set.trees.size(); ++t) {
     batch.emplace_back(set.queries[t], set.trees[t].get());
@@ -206,12 +196,14 @@ bool BatchedOutputsBitIdentical(const model::TreeModel& m) {
   return true;
 }
 
-void PrintInferencePathComparison() {
+/// Returns false when any model's batched outputs differ from the taped
+/// Forward's.
+bool PrintInferencePathComparison() {
   const World& world = GetWorld();
   std::printf("\n=== per-node inference latency by path (join-8 workload, "
               "%zu nodes) ===\n", GetTreeSet().total_nodes);
-  std::printf("%8s %12s %12s %12s %12s %10s %8s\n", "model", "taped(ns)",
-              "fastwalk(ns)", "batched(ns)", "multi(ns)", "speedup", "exact");
+  std::printf("%8s %12s %12s %12s %10s %8s\n", "model", "taped(ns)",
+              "batched(ns)", "multi(ns)", "speedup", "exact");
   std::ofstream json;
   if (!MetricsJsonPath().empty()) {
     json.open(MetricsJsonPath(), std::ios::app);
@@ -220,18 +212,18 @@ void PrintInferencePathComparison() {
   const int repeats = 20;
   const std::pair<const char*, const model::TreeModel*> models[] = {
       {"lpce_s", world.lpce_s.get()}, {"lpce_t", world.lpce_t.get()}};
+  bool all_exact = true;
   for (const auto& [tag, m] : models) {
     const double taped = TimePath(*m, Path::kTaped, repeats);
-    const double walk = TimePath(*m, Path::kFastWalk, repeats);
     const double batched = TimePath(*m, Path::kBatched, repeats);
     const double multi = TimePath(*m, Path::kBatchedMultiTree, repeats);
     const bool exact = BatchedOutputsBitIdentical(*m);
-    std::printf("%8s %12.0f %12.0f %12.0f %12.0f %9.2fx %8s\n", tag, taped,
-                walk, batched, multi, taped / batched, exact ? "yes" : "NO");
+    all_exact = all_exact && exact;
+    std::printf("%8s %12.0f %12.0f %12.0f %9.2fx %8s\n", tag, taped, batched,
+                multi, taped / batched, exact ? "yes" : "NO");
     if (json.is_open()) {
       json << "{\"bench\":\"fig19_inference_paths\",\"model\":\"" << tag
            << "\",\"taped_ns_per_node\":" << taped
-           << ",\"fastwalk_ns_per_node\":" << walk
            << ",\"batched_ns_per_node\":" << batched
            << ",\"batched_multi_tree_ns_per_node\":" << multi
            << ",\"speedup_batched_vs_taped\":" << taped / batched
@@ -241,6 +233,7 @@ void PrintInferencePathComparison() {
   }
   std::printf("(speedup = taped / batched; 'exact' = batched outputs "
               "bit-identical to the taped Forward)\n");
+  return all_exact;
 }
 
 void PrintTrainingSummary() {
@@ -269,7 +262,12 @@ int main(int argc, char** argv) {
   lpce::bench::ParseBenchFlags(argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  lpce::bench::PrintInferencePathComparison();
+  const bool exact = lpce::bench::PrintInferencePathComparison();
   lpce::bench::PrintTrainingSummary();
+  if (!exact) {
+    std::fprintf(stderr, "FAIL: batched inference is not bit-identical to the "
+                         "taped Forward\n");
+    return 1;
+  }
   return 0;
 }

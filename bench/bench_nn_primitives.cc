@@ -1,8 +1,8 @@
-// Microbenchmarks for the nn substrate: the matrix product, the two
-// recurrent cells (graph vs. inference fast path), and a full training step.
-// These quantify the two claims the library's design leans on: SRU needs
-// fewer matrix products than LSTM (paper Sec. 4.2), and the inference fast
-// path avoids the autograd graph entirely.
+// Microbenchmarks for the nn substrate: the matrix product and Gemm kernels,
+// the two recurrent cells' taped steps, and a full training step. The cell
+// lanes quantify the claim the library's design leans on: SRU needs fewer
+// matrix products than LSTM (paper Sec. 4.2). The tape-free inference walk
+// is timed per plan node by bench_fig19_inference_time.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -72,33 +72,6 @@ BENCHMARK(BM_GemmDenseInput)->Arg(32)->Arg(96)->Arg(256);
 BENCHMARK(BM_GemmZeroSkipDenseInput)->Arg(32)->Arg(96)->Arg(256);
 BENCHMARK(BM_GemmSparseInput)->Arg(96);
 BENCHMARK(BM_GemmZeroSkipSparseInput)->Arg(96);
-
-void BM_SruStepFast(benchmark::State& state) {
-  const size_t dim = static_cast<size_t>(state.range(0));
-  Rng rng(2);
-  ParamStore store;
-  TreeSruCell cell(&store, "sru", dim, &rng);
-  Matrix x = RandomMatrix(&rng, 1, dim);
-  Matrix cl = RandomMatrix(&rng, 1, dim);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cell.Apply(x, &cl, nullptr));
-  }
-}
-BENCHMARK(BM_SruStepFast)->Arg(32)->Arg(96);
-
-void BM_LstmStepFast(benchmark::State& state) {
-  const size_t dim = static_cast<size_t>(state.range(0));
-  Rng rng(3);
-  ParamStore store;
-  TreeLstmCell cell(&store, "lstm", dim, &rng);
-  Matrix x = RandomMatrix(&rng, 1, dim);
-  Matrix cl = RandomMatrix(&rng, 1, dim);
-  Matrix hl = RandomMatrix(&rng, 1, dim);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cell.Apply(x, &cl, &hl, nullptr, nullptr));
-  }
-}
-BENCHMARK(BM_LstmStepFast)->Arg(32)->Arg(96);
 
 void BM_SruStepGraph(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));

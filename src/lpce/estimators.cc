@@ -44,9 +44,7 @@ int CanonicalLastPosition(const qry::Query& query, qry::RelSet rels) {
 }  // namespace
 
 bool TreeModelEstimator::PreparedFor(const qry::Query& query) const {
-  return prepared_ && prepared_tables_ == query.tables &&
-         prepared_joins_ == query.joins.size() &&
-         prepared_predicates_ == query.predicates.size();
+  return prepared_ && prepared_query_ == query;
 }
 
 void TreeModelEstimator::PrepareQuery(const qry::Query& query) {
@@ -58,85 +56,53 @@ void TreeModelEstimator::PrepareQuery(const qry::Query& query) {
   prepared_ = false;
   prepared_cards_.clear();
   if (model_->config().with_child_cards) return;  // unsupported; lazy path
-  if (TreeModel::BatchedInferEnabled()) {
-    // Batched incremental chain (paper Sec. 6.1 + PR 4): all leaves run as
-    // one [T x d] pass, then every connected subset of each popcount size
-    // runs as one pass — its canonical prefix has one table fewer, so the
-    // whole level's inputs exist before the level starts. States live in the
-    // thread's inference arena: reset once here, kept alive across levels,
-    // so a prepared query does zero heap allocations after warmup.
-    static common::Counter* level_batches_total =
-        common::MetricsRegistry::Global().counter(
-            "lpce.infer.subplan_level_batches_total");
-    nn::InferArena::ThreadLocal().Reset();
-    std::unordered_map<qry::RelSet, TreeModel::RawState> states;
-    std::vector<int> positions(static_cast<size_t>(query.num_tables()));
-    for (int pos = 0; pos < query.num_tables(); ++pos) positions[pos] = pos;
-    std::vector<TreeModel::RawState> level_states;
-    model_->LeafStatesFastBatch(query, positions, &level_states);
+  // Batched incremental chain (paper Sec. 6.1): all leaves run as
+  // one [T x d] pass, then every connected subset of each popcount size
+  // runs as one pass — its canonical prefix has one table fewer, so the
+  // whole level's inputs exist before the level starts. States live in the
+  // thread's inference arena: reset once here, kept alive across levels,
+  // so a prepared query does zero heap allocations after warmup.
+  static common::Counter* level_batches_total =
+      common::MetricsRegistry::Global().counter(
+          "lpce.infer.subplan_level_batches_total");
+  nn::InferArena::ThreadLocal().Reset();
+  std::unordered_map<qry::RelSet, TreeModel::RawState> states;
+  std::vector<int> positions(static_cast<size_t>(query.num_tables()));
+  for (int pos = 0; pos < query.num_tables(); ++pos) positions[pos] = pos;
+  std::vector<TreeModel::RawState> level_states;
+  model_->LeafStatesFastBatch(query, positions, &level_states);
+  level_batches_total->Increment();
+  for (int pos = 0; pos < query.num_tables(); ++pos) {
+    states[qry::Bit(pos)] = level_states[pos];
+    prepared_cards_[qry::Bit(pos)] = level_states[pos].card;
+  }
+  const qry::RelSet all = query.AllRels();
+  std::vector<qry::RelSet> level_rels;
+  std::vector<TreeModel::JoinStateRequest> requests;
+  for (int size = 2; size <= query.num_tables(); ++size) {
+    level_rels.clear();
+    requests.clear();
+    for (qry::RelSet rels = 1; rels <= all; ++rels) {
+      if (qry::PopCount(rels) != size || !query.IsConnected(rels)) continue;
+      const int last = CanonicalLastPosition(query, rels);
+      const qry::RelSet prefix = rels & ~qry::Bit(last);
+      auto it = states.find(prefix);
+      LPCE_CHECK_MSG(it != states.end(), "canonical prefix must be computed");
+      const auto joins = query.JoinsBetween(prefix, qry::Bit(last));
+      LPCE_CHECK(!joins.empty());
+      level_rels.push_back(rels);
+      // unordered_map references are stable across inserts.
+      requests.push_back({joins[0], &it->second, &states[qry::Bit(last)]});
+    }
+    if (requests.empty()) continue;
+    model_->JoinStatesFastBatch(query, requests, &level_states);
     level_batches_total->Increment();
-    for (int pos = 0; pos < query.num_tables(); ++pos) {
-      states[qry::Bit(pos)] = level_states[pos];
-      prepared_cards_[qry::Bit(pos)] = level_states[pos].card;
-    }
-    const qry::RelSet all = query.AllRels();
-    std::vector<qry::RelSet> level_rels;
-    std::vector<TreeModel::JoinStateRequest> requests;
-    for (int size = 2; size <= query.num_tables(); ++size) {
-      level_rels.clear();
-      requests.clear();
-      for (qry::RelSet rels = 1; rels <= all; ++rels) {
-        if (qry::PopCount(rels) != size || !query.IsConnected(rels)) continue;
-        const int last = CanonicalLastPosition(query, rels);
-        const qry::RelSet prefix = rels & ~qry::Bit(last);
-        auto it = states.find(prefix);
-        LPCE_CHECK_MSG(it != states.end(), "canonical prefix must be computed");
-        const auto joins = query.JoinsBetween(prefix, qry::Bit(last));
-        LPCE_CHECK(!joins.empty());
-        level_rels.push_back(rels);
-        // unordered_map references are stable across inserts.
-        requests.push_back({joins[0], &it->second, &states[qry::Bit(last)]});
-      }
-      if (requests.empty()) continue;
-      model_->JoinStatesFastBatch(query, requests, &level_states);
-      level_batches_total->Increment();
-      for (size_t i = 0; i < level_rels.size(); ++i) {
-        states[level_rels[i]] = level_states[i];
-        prepared_cards_[level_rels[i]] = level_states[i].card;
-      }
-    }
-  } else {
-    // Legacy one-node-at-a-time chain: the canonical chain of S minus its
-    // last-added table is a strict prefix of S's chain, so
-    // state(S) = JoinStep(state(S \ last), leaf(last)).
-    std::unordered_map<qry::RelSet, TreeModel::FastNodeState> states;
-    std::vector<TreeModel::FastNodeState> leaves(query.tables.size());
-    for (int pos = 0; pos < query.num_tables(); ++pos) {
-      leaves[pos] = model_->LeafStateFast(query, pos);
-      states[qry::Bit(pos)] = leaves[pos];
-      prepared_cards_[qry::Bit(pos)] = leaves[pos].card;
-    }
-    // Enumerate connected subsets grouped by size.
-    const qry::RelSet all = query.AllRels();
-    for (int size = 2; size <= query.num_tables(); ++size) {
-      for (qry::RelSet rels = 1; rels <= all; ++rels) {
-        if (qry::PopCount(rels) != size || !query.IsConnected(rels)) continue;
-        const int last = CanonicalLastPosition(query, rels);
-        const qry::RelSet prefix = rels & ~qry::Bit(last);
-        auto it = states.find(prefix);
-        LPCE_CHECK_MSG(it != states.end(), "canonical prefix must be computed");
-        const auto joins = query.JoinsBetween(prefix, qry::Bit(last));
-        LPCE_CHECK(!joins.empty());
-        TreeModel::FastNodeState state = model_->JoinStateFast(
-            query, joins[0], it->second, leaves[last]);
-        prepared_cards_[rels] = state.card;
-        states[rels] = std::move(state);
-      }
+    for (size_t i = 0; i < level_rels.size(); ++i) {
+      states[level_rels[i]] = level_states[i];
+      prepared_cards_[level_rels[i]] = level_states[i].card;
     }
   }
-  prepared_tables_ = query.tables;
-  prepared_joins_ = query.joins.size();
-  prepared_predicates_ = query.predicates.size();
+  prepared_query_ = query;
   prepared_ = true;
 }
 

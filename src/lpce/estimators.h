@@ -39,11 +39,10 @@ class TreeModelEstimator : public card::CardinalityEstimator {
   const TreeModel* model_;
   const db::Database* db_;
 
-  // Batched-preparation cache (valid while the prepared query matches).
+  // Batched-preparation cache, valid only for a query equal to the prepared
+  // one (literals included: a same-template query must not read it).
   bool prepared_ = false;
-  std::vector<int32_t> prepared_tables_;
-  size_t prepared_joins_ = 0;
-  size_t prepared_predicates_ = 0;
+  qry::Query prepared_query_;
   std::unordered_map<qry::RelSet, double> prepared_cards_;
 };
 

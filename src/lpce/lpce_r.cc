@@ -63,18 +63,6 @@ nn::Tensor LpceR::EncodeExecuted(const qry::Query& query,
   return c_card;
 }
 
-double LpceR::EstimateTree(const qry::Query& query, const EstNode* tree) const {
-  if (mode_ == RefinerMode::kSingle) {
-    // One module does everything: executed nodes carry real cardinalities,
-    // the rest run on the model's own estimates.
-    auto outputs = cardinality_->Forward(query, tree, /*dynamic_child_cards=*/true);
-    LPCE_CHECK(!outputs.empty());
-    return cardinality_->YToCard(
-        static_cast<double>(outputs.back().y->value().at(0, 0)));
-  }
-  return refine_->PredictCard(query, tree);
-}
-
 nn::Matrix LpceR::ConnectFast(const nn::Matrix& c_content,
                               const nn::Matrix& c_card) const {
   // Kernel-for-kernel mirror of the taped Connect (Eq. 6): Mul / Mul / Add

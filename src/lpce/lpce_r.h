@@ -54,16 +54,14 @@ class LpceR {
   /// the connect layer needs the graph from c_A/c_B onward).
   nn::Tensor EncodeExecuted(const qry::Query& query, const EstNode* executed) const;
 
-  /// Estimates the cardinality of the subtree root of `tree`, which may
-  /// contain injected leaves produced by EncodeExecuted.
-  double EstimateTree(const qry::Query& query, const EstNode* tree) const;
-
   /// Connect layer (Eq. 6).
   nn::Tensor Connect(const nn::Tensor& c_content, const nn::Tensor& c_card) const;
 
   /// Inference fast paths (no autograd graph).
   nn::Matrix EncodeExecutedFast(const qry::Query& query,
                                 const EstNode* executed) const;
+  /// Estimates the cardinality of the subtree root of `tree`, which may
+  /// contain injected leaves produced by EncodeExecutedFast.
   double EstimateTreeFast(const qry::Query& query, const EstNode* tree) const;
   nn::Matrix ConnectFast(const nn::Matrix& c_content,
                          const nn::Matrix& c_card) const;

@@ -130,12 +130,9 @@ class TreeModel {
     const float* root_h = nullptr;
   };
 
-  /// Single-tree batched inference. Resets the thread arena on entry. When
-  /// `sink` is given, collects (rels, card) for every non-injected node in
-  /// post-order (PredictAllFast contract).
+  /// Single-tree batched inference. Resets the thread arena on entry.
   InferResult Infer(const qry::Query& query, const EstNode* root,
                     bool dynamic_child_cards = false,
-                    std::vector<std::pair<qry::RelSet, double>>* sink = nullptr,
                     const nn::Matrix* feature_cache = nullptr) const;
 
   /// Multi-tree batched inference (validation forward): nodes of all trees
@@ -164,61 +161,30 @@ class TreeModel {
     const RawState* right = nullptr;
   };
 
-  /// Batched LeafStateFast: one state per entry of `positions`, computed as
-  /// a single [N x d] pass. Caller owns the arena lifecycle (reset before
-  /// the first batch of a query, keep alive across popcount levels).
+  /// Leaf states: one per entry of `positions`, computed as a single
+  /// [N x d] pass. Caller owns the arena lifecycle (reset before the first
+  /// batch of a query, keep alive across popcount levels).
   void LeafStatesFastBatch(const qry::Query& query,
                            const std::vector<int>& positions,
                            std::vector<RawState>* out) const;
 
-  /// Batched JoinStateFast: request i joins `left[i]` and `right[i]` over
-  /// join edge `join_idx[i]`; all requests run as one [N x d] pass.
+  /// Join states: request i joins `left[i]` and `right[i]` over join edge
+  /// `join_idx[i]`; all requests run as one [N x d] pass.
   void JoinStatesFastBatch(const qry::Query& query,
                            const std::vector<JoinStateRequest>& requests,
                            std::vector<RawState>* out) const;
 
-  /// True when the batched tape-free path is enabled (env LPCE_INFER_BATCH,
-  /// default on; "0" falls back to the legacy recursive fast walk).
-  static bool BatchedInferEnabled();
-
-  /// Process-wide override of the LPCE_INFER_BATCH knob, for benches and
-  /// tests that compare the batched and legacy paths in one process.
-  static void SetBatchedInferEnabled(bool enabled);
-
   /// Cardinality estimate for the root of the tree.
   double PredictCard(const qry::Query& query, const EstNode* root) const;
 
-  /// Inference fast path (no autograd graph): root cardinality estimate.
-  /// Supports injected leaves and the dynamic-child-cards mode.
+  /// Root cardinality estimate via Infer (no autograd graph). Supports
+  /// injected leaves and the dynamic-child-cards mode.
   double PredictCardFast(const qry::Query& query, const EstNode* root,
                          bool dynamic_child_cards = false) const;
 
-  /// Fast per-node estimates, keyed by relation set (post-order).
-  void PredictAllFast(const qry::Query& query, const EstNode* root,
-                      std::vector<std::pair<qry::RelSet, double>>* out) const;
-
-  /// Inference fast path for the root's encoding c (LPCE-R executed-sub-plan
-  /// feature extraction).
+  /// The root's encoding c via Infer (LPCE-R executed-sub-plan feature
+  /// extraction). An injected root returns its injected encoding unchanged.
   nn::Matrix EncodeRootFast(const qry::Query& query, const EstNode* root) const;
-
-  /// Output module on a representation h (inference fast path, internal).
-  nn::Matrix OutputFast(const nn::Matrix& h) const;
-
-  /// Incremental inference states for batched sub-plan estimation (paper
-  /// Sec. 6.1: all same-level sub-query inferences share work). A state is
-  /// the recurrent (c, h) pair plus the node's cardinality estimate; the
-  /// canonical chain of a subset extends the chain of the subset minus its
-  /// last-added table, so each connected subset costs one additional step.
-  /// Only content-style models (no child-cardinality inputs) support this.
-  struct FastNodeState {
-    nn::Matrix c;
-    nn::Matrix h;
-    double card = 0.0;
-  };
-  FastNodeState LeafStateFast(const qry::Query& query, int table_pos) const;
-  FastNodeState JoinStateFast(const qry::Query& query, int join_idx,
-                              const FastNodeState& left,
-                              const FastNodeState& right) const;
 
   /// Normalized log-cardinality <-> raw cardinality.
   double CardToY(double card) const;
@@ -260,12 +226,11 @@ class TreeModel {
 
   /// Shared driver behind Infer/InferTrees: flattens the trees, groups nodes
   /// by depth, and runs one LevelBatch per depth (deepest first). Any of
-  /// `caches`, `outputs`, `sink`, `root_result` may be null.
+  /// `caches`, `outputs`, `root_result` may be null.
   void InferManyImpl(const qry::Query* const* queries,
                      const EstNode* const* roots, size_t num_trees,
                      const nn::Matrix* const* caches, bool dynamic_child_cards,
                      std::vector<std::vector<InferNodeOutput>>* outputs,
-                     std::vector<std::pair<qry::RelSet, double>>* sink,
                      InferResult* root_result) const;
 
   const FeatureEncoder* encoder_;
@@ -329,10 +294,6 @@ TrainStats DistillTreeModel(TreeModel* student, const TreeModel& teacher,
                             const db::Database& database,
                             const std::vector<wk::LabeledQuery>& train,
                             const DistillOptions& options);
-
-/// Mean q-error of root predictions over a workload (evaluation helper).
-double EvaluateRootQError(const TreeModel& model, const db::Database& database,
-                          const std::vector<wk::LabeledQuery>& test);
 
 /// Detaches a tensor from the autograd graph (constant copy of its value).
 nn::Tensor Detach(const nn::Tensor& t);

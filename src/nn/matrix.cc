@@ -129,8 +129,6 @@ float Matrix::SumSquares() const {
 
 void SigmoidInPlace(Matrix* m) { kernels::Sigmoid(m->data(), m->size()); }
 
-void TanhInPlace(Matrix* m) { kernels::TanhInPlace(m->data(), m->size()); }
-
 void ReluInPlace(Matrix* m) { kernels::Relu(m->data(), m->size()); }
 
 }  // namespace lpce::nn

@@ -76,7 +76,6 @@ class Matrix {
 
 /// In-place element-wise activations (inference fast path).
 void SigmoidInPlace(Matrix* m);
-void TanhInPlace(Matrix* m);
 void ReluInPlace(Matrix* m);
 
 /// Caps the number of threads the matrix products may use (0 = the global

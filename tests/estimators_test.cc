@@ -176,6 +176,36 @@ TEST_F(EstimatorsTest, BatchedPrepareInvalidatedByDifferentQuery) {
   TreeModelEstimator fresh("y", &lpce_r_->refine(), database_.get());
   EXPECT_NEAR(estimator.EstimateSubset(other.query, other.query.AllRels()),
               fresh.EstimateSubset(other.query, other.query.AllRels()), 1e-6);
+
+  // Same template, different literal: tables, join edges and predicate
+  // count all match the prepared query, so only the literal tells them
+  // apart. Each literal moves to the far end of its column's range.
+  int discriminating = 0;
+  for (const auto& labeled : train_) {
+    const qry::Query& query = labeled.query;
+    if (query.predicates.empty()) continue;
+    qry::Query moved = query;
+    qry::Predicate& pred = moved.predicates.front();
+    const stats::ColumnStats& cs = stats_.column(pred.col);
+    if (cs.max_value <= cs.min_value) continue;
+    pred.value = pred.value - cs.min_value < cs.max_value - pred.value
+                     ? cs.max_value
+                     : cs.min_value;
+    TreeModelEstimator prepared("x", &lpce_r_->refine(), database_.get());
+    prepared.PrepareQuery(query);
+    TreeModelEstimator lazy("y", &lpce_r_->refine(), database_.get());
+    const qry::RelSet all = moved.AllRels();
+    if (lazy.EstimateSubset(moved, all) != lazy.EstimateSubset(query, all)) {
+      ++discriminating;
+    }
+    for (qry::RelSet rels = 1; rels <= all; ++rels) {
+      if (!moved.IsConnected(rels)) continue;
+      EXPECT_DOUBLE_EQ(prepared.EstimateSubset(moved, rels),
+                       lazy.EstimateSubset(moved, rels))
+          << "stale prepared estimate for rels " << rels;
+    }
+  }
+  EXPECT_GT(discriminating, 0) << "no literal change moved an estimate";
 }
 
 TEST_F(EstimatorsTest, TreeModelEstimatorIsDeterministic) {

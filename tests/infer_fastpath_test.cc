@@ -4,7 +4,9 @@
 // child-cardinality inputs, injected executed-sub-plan leaves, feature
 // caches, and at every matmul thread count. Also pins the arena's
 // zero-heap-allocation steady state and the batched estimator preparation.
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -222,7 +224,7 @@ TEST_F(InferFastPathTest, FeatureCacheIsBitInvisible) {
     }
     TreeModel::InferResult res =
         model.Infer(labeled.query, tree.get(), /*dynamic_child_cards=*/false,
-                    /*sink=*/nullptr, &cache);
+                    &cache);
     EXPECT_EQ(res.root_card,
               model.YToCard(
                   static_cast<double>(plain.back().y->value().at(0, 0))));
@@ -242,8 +244,32 @@ TEST_F(InferFastPathTest, EncodeRootFastMatchesForwardEncoding) {
   }
 }
 
+TEST_F(InferFastPathTest, EncodeRootFastReturnsInjectedEncodingUnchanged) {
+  // An injected root already carries its encoding: no inference runs and
+  // the encoding passes through bit-for-bit.
+  Rng rng(7);
+  for (bool lstm : {false, true}) {
+    TreeModel model(encoder_.get(), Config(lstm, /*with_cards=*/false));
+    nn::Matrix enc(1, static_cast<size_t>(model.config().dim));
+    for (size_t j = 0; j < enc.cols(); ++j) {
+      enc.at(0, j) = static_cast<float>(rng.UniformDouble(-1.0, 1.0));
+    }
+    EstNode root;
+    root.rels = queries_.front().query.AllRels();
+    root.injected_c = nn::MakeTensor(enc);
+    root.true_card = 42.0;
+    const nn::Matrix out = model.EncodeRootFast(queries_.front().query, &root);
+    ASSERT_EQ(out.rows(), 1u);
+    ASSERT_EQ(out.cols(), enc.cols());
+    for (size_t j = 0; j < enc.cols(); ++j) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(out.at(0, j)),
+                std::bit_cast<uint32_t>(enc.at(0, j)))
+          << (lstm ? "lstm" : "sru") << " c[" << j << "]";
+    }
+  }
+}
+
 TEST_F(InferFastPathTest, ZeroHeapAllocationsPerQueryAfterWarmup) {
-  if (!TreeModel::BatchedInferEnabled()) GTEST_SKIP();
   TreeModel model(encoder_.get(), Config(/*lstm=*/false, /*with_cards=*/false));
   std::vector<std::unique_ptr<EstNode>> trees;
   for (const auto& labeled : queries_) trees.push_back(Tree(labeled));
@@ -265,7 +291,6 @@ TEST_F(InferFastPathTest, ZeroHeapAllocationsPerQueryAfterWarmup) {
 }
 
 TEST_F(InferFastPathTest, BatchedPrepareQueryMatchesTreeInference) {
-  if (!TreeModel::BatchedInferEnabled()) GTEST_SKIP();
   TreeModel model(encoder_.get(), Config(/*lstm=*/false, /*with_cards=*/false));
   TreeModelEstimator estimator("lpce", &model, database_.get());
   for (size_t qi = 0; qi < 3; ++qi) {
