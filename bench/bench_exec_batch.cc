@@ -1,11 +1,15 @@
 // Vectorized-executor bench: T_E on a join-heavy scan+filter+join workload,
-// row-at-a-time (Volcano-style oracle) vs the batch path (exec/vectorized.h)
-// vs the late-materialization path (row-id intermediates), plus the
-// bit-identity pin the speedups are only allowed to ride on: every finished
-// operator's rowset in batch and late mode, at pool sizes {1, 2, 4}, must
-// equal the row path's single-thread output bit for bit (late intermediates
-// gathered through exec::MaterializeRowSet first). Peak intermediate bytes
-// are reported per path; the late path must also shrink them.
+// row-at-a-time (the oracle) vs the vectorized path (exec/vectorized.h,
+// row-id intermediates), on two plan lanes over the same queries:
+//  - canonical: exec::BuildCanonicalHashPlan, all hash joins;
+//  - optimizer: the plans the DP planner picks from histogram estimates —
+//    the plans the engine actually runs, nested-loop and merge joins
+//    included.
+// Plus the bit-identity pin the speedups are only allowed to ride on: every
+// finished operator's rowset of the vectorized path, at pool sizes
+// {1, 2, 4}, gathered through exec::MaterializeRowSet, must equal the row
+// path's single-thread output bit for bit, on both lanes. Peak intermediate
+// bytes are reported per path; the vectorized path must shrink them.
 //
 // Self-contained like bench_plancache: builds its own synthetic database,
 // runs in seconds.
@@ -16,11 +20,10 @@
 //   --joins=N             joins per query (default 8 — the Join-eight shape)
 //   --batch=N             batch size for the vectorized path (default 1024)
 //   --repeats=N           timing repeats per query; min is kept (default 5)
-//   --min_speedup=F       fail (exit 1) if batch-path T_E speedup over the
-//                         row path is below this (default 2; 0 disables)
-//   --min_late_speedup=F  fail (exit 1) if late-mat T_E speedup over the
-//                         batch path is below this (default 1; 0 disables);
-//                         also requires late peak bytes < batch peak bytes
+//   --min_speedup=F       fail (exit 1) if the vectorized T_E speedup over
+//                         the row path on the canonical lane is below this
+//                         (default 2; 0 disables); also requires the
+//                         vectorized peak bytes < row peak bytes
 //   --metrics_json=PATH   append one summary JSON line
 #include <cstdio>
 #include <cstdlib>
@@ -30,11 +33,14 @@
 #include <string>
 #include <vector>
 
+#include "card/histogram_estimator.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "exec/executor.h"
 #include "exec/vectorized.h"
+#include "optimizer/planner.h"
+#include "stats/column_stats.h"
 #include "storage/database.h"
 #include "workload/workload.h"
 
@@ -48,7 +54,6 @@ struct Flags {
   int batch = 1024;
   int repeats = 5;
   double min_speedup = 2.0;
-  double min_late_speedup = 1.0;
   std::string metrics_json;
 };
 
@@ -72,15 +77,13 @@ Flags ParseFlags(int argc, char** argv) {
       flags.repeats = std::atoi(v);
     } else if (const char* v = value_of("--min_speedup=")) {
       flags.min_speedup = std::atof(v);
-    } else if (const char* v = value_of("--min_late_speedup=")) {
-      flags.min_late_speedup = std::atof(v);
     } else if (const char* v = value_of("--metrics_json=")) {
       flags.metrics_json = v;
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nusage: %s [--scale=F] [--queries=N] "
                    "[--joins=N] [--batch=N] [--repeats=N] [--min_speedup=F] "
-                   "[--min_late_speedup=F] [--metrics_json=PATH]\n",
+                   "[--metrics_json=PATH]\n",
                    arg.c_str(), argv[0]);
       std::exit(2);
     }
@@ -101,24 +104,25 @@ struct Outcome {
   size_t peak_bytes = 0;
 };
 
+/// Runs `plan` once; batch_size 0 is the row oracle. Vectorized rowsets are
+/// gathered back to payload columns when `materialize` is set.
 Outcome RunOnce(const db::Database& database, const qry::Query& query,
-                int batch_size, int late = 0) {
+                exec::PlanNode* plan, int batch_size, bool materialize) {
   Outcome outcome;
-  auto plan = exec::BuildCanonicalHashPlan(query);
   exec::Executor executor(&database, &query);
   exec::Executor::Options options;
   options.batch_size = batch_size;
-  options.late_materialization = late;
   WallTimer timer;
-  exec::Executor::RunResult result = executor.Run(plan.get(), options);
+  exec::Executor::RunResult result = executor.Run(plan, options);
   outcome.exec_seconds = timer.ElapsedSeconds();
   outcome.peak_bytes = executor.peak_intermediate_bytes();
   std::vector<exec::PlanNode*> nodes;
-  exec::PostOrderPlan(plan.get(), &nodes);
+  exec::PostOrderPlan(plan, &nodes);
   for (exec::PlanNode* node : nodes) {
     auto it = result.finished.find(node);
-    outcome.rowsets.push_back(it != result.finished.end() ? it->second
-                                                          : nullptr);
+    exec::RowSetPtr rs = it != result.finished.end() ? it->second : nullptr;
+    if (materialize && rs != nullptr) rs = exec::MaterializeRowSet(database, rs);
+    outcome.rowsets.push_back(rs);
   }
   if (std::getenv("LPCE_BENCH_PER_NODE") != nullptr) {
     for (exec::PlanNode* node : nodes) {
@@ -147,130 +151,140 @@ bool BitIdentical(const Outcome& a, const Outcome& b) {
   return true;
 }
 
+/// One plan lane: a plan per query, timed on both paths.
+struct Lane {
+  explicit Lane(const char* lane_name) : name(lane_name) {}
+  const char* name;
+  std::vector<std::unique_ptr<exec::PlanNode>> plans;
+  double row_seconds = 0.0;
+  double vec_seconds = 0.0;
+  size_t row_peak = 0;
+  size_t vec_peak = 0;
+  uint64_t result_rows = 0;
+  uint64_t mismatches = 0;
+
+  double speedup() const {
+    return vec_seconds > 0.0 ? row_seconds / vec_seconds : 0.0;
+  }
+};
+
+// Timing: single-thread T_E, min of repeats. Single-thread is the honest
+// comparison — the row oracle is sequential by design. Then the bit-identity
+// pin at pool sizes {1, 2, 4}.
+void MeasureLane(const db::Database& database,
+                 const std::vector<qry::Query>& queries, const Flags& flags,
+                 Lane* lane) {
+  common::SetGlobalPoolSize(1);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    exec::PlanNode* plan = lane->plans[q].get();
+    double row_min = 0.0, vec_min = 0.0;
+    for (int r = 0; r < flags.repeats; ++r) {
+      const Outcome row = RunOnce(database, queries[q], plan, 0, false);
+      if (r == 0 || row.exec_seconds < row_min) row_min = row.exec_seconds;
+      const Outcome vec =
+          RunOnce(database, queries[q], plan, flags.batch, false);
+      if (r == 0 || vec.exec_seconds < vec_min) vec_min = vec.exec_seconds;
+      if (r == 0) {
+        lane->result_rows += row.result_rows;
+        lane->row_peak += row.peak_bytes;
+        lane->vec_peak += vec.peak_bytes;
+      }
+    }
+    lane->row_seconds += row_min;
+    lane->vec_seconds += vec_min;
+  }
+  for (size_t q = 0; q < queries.size(); ++q) {
+    exec::PlanNode* plan = lane->plans[q].get();
+    common::SetGlobalPoolSize(1);
+    const Outcome oracle = RunOnce(database, queries[q], plan, 0, false);
+    for (int pool : {1, 2, 4}) {
+      common::SetGlobalPoolSize(pool);
+      const Outcome got =
+          RunOnce(database, queries[q], plan, flags.batch, true);
+      if (!BitIdentical(oracle, got)) {
+        ++lane->mismatches;
+        std::printf("!! %s bit-identity mismatch: query %zu batch=%d pool=%d\n",
+                    lane->name, q, flags.batch, pool);
+      }
+    }
+  }
+  common::SetGlobalPoolSize(0);
+}
+
 int Run(int argc, char** argv) {
   const Flags flags = ParseFlags(argc, argv);
 
   db::SynthImdbOptions opts;
   opts.scale = flags.scale;
   auto database = db::BuildSynthImdb(opts);
+  const stats::DatabaseStats stats(*database);
+  card::HistogramEstimator estimator(&stats);
+  opt::Planner planner(database.get(), opt::CostModel{});
   wk::GeneratorOptions gen;
   gen.seed = 811;
   wk::QueryGenerator generator(database.get(), gen);
   std::vector<qry::Query> queries;
+  Lane canonical("canonical");
+  Lane optimizer("optimizer");
+  int join_mix[3] = {0, 0, 0};  // hash, merge, nested loop
   for (int i = 0; i < flags.queries; ++i) {
     queries.push_back(generator.Generate(flags.joins));
+    canonical.plans.push_back(exec::BuildCanonicalHashPlan(queries.back()));
+    estimator.PrepareQuery(queries.back());
+    optimizer.plans.push_back(planner.Plan(queries.back(), &estimator).plan);
+    std::vector<exec::PlanNode*> nodes;
+    exec::PostOrderPlan(optimizer.plans.back().get(), &nodes);
+    for (const exec::PlanNode* node : nodes) {
+      join_mix[0] += node->op == exec::PhysOp::kHashJoin;
+      join_mix[1] += node->op == exec::PhysOp::kMergeJoin;
+      join_mix[2] += node->op == exec::PhysOp::kNestLoopJoin;
+    }
   }
 
   const common::MetricsSnapshot before =
       common::MetricsRegistry::Global().Snapshot();
-
-  // Timing: single-thread T_E, min of repeats, both paths over the same
-  // canonical hash plans. Single-thread is the honest comparison — the pool
-  // speeds both paths up by the same chunking.
-  common::SetGlobalPoolSize(1);
-  double row_seconds = 0.0, batch_seconds = 0.0, late_seconds = 0.0;
-  uint64_t total_rows = 0;
-  size_t row_peak = 0, batch_peak = 0, late_peak = 0;
-  for (const qry::Query& query : queries) {
-    double row_min = 0.0, batch_min = 0.0, late_min = 0.0;
-    for (int r = 0; r < flags.repeats; ++r) {
-      const Outcome row = RunOnce(*database, query, /*batch_size=*/0);
-      if (r == 0 || row.exec_seconds < row_min) row_min = row.exec_seconds;
-      const Outcome batch = RunOnce(*database, query, flags.batch);
-      if (r == 0 || batch.exec_seconds < batch_min) {
-        batch_min = batch.exec_seconds;
-      }
-      const Outcome late =
-          RunOnce(*database, query, flags.batch, /*late=*/1);
-      if (r == 0 || late.exec_seconds < late_min) {
-        late_min = late.exec_seconds;
-      }
-      if (r == 0) {
-        total_rows += row.result_rows;
-        row_peak += row.peak_bytes;
-        batch_peak += batch.peak_bytes;
-        late_peak += late.peak_bytes;
-      }
-    }
-    row_seconds += row_min;
-    batch_seconds += batch_min;
-    late_seconds += late_min;
-  }
-  const double speedup =
-      batch_seconds > 0.0 ? row_seconds / batch_seconds : 0.0;
-  const double late_speedup =
-      late_seconds > 0.0 ? batch_seconds / late_seconds : 0.0;
-
-  // Bit-identity pin: the batch and late paths at pool sizes {1, 2, 4}
-  // against the row path's single-thread output, every finished operator
-  // compared (late rowsets gathered back to payload columns first).
-  uint64_t mismatches = 0;
-  for (const qry::Query& query : queries) {
-    common::SetGlobalPoolSize(1);
-    const Outcome oracle = RunOnce(*database, query, /*batch_size=*/0);
-    for (int pool : {1, 2, 4}) {
-      common::SetGlobalPoolSize(pool);
-      const Outcome got = RunOnce(*database, query, flags.batch);
-      if (!BitIdentical(oracle, got)) {
-        ++mismatches;
-        std::printf("!! bit-identity mismatch: batch=%d pool=%d\n",
-                    flags.batch, pool);
-      }
-      Outcome late = RunOnce(*database, query, flags.batch, /*late=*/1);
-      for (exec::RowSetPtr& rs : late.rowsets) {
-        if (rs != nullptr) rs = exec::MaterializeRowSet(*database, rs);
-      }
-      if (!BitIdentical(oracle, late)) {
-        ++mismatches;
-        std::printf("!! bit-identity mismatch: late batch=%d pool=%d\n",
-                    flags.batch, pool);
-      }
-    }
-  }
-  common::SetGlobalPoolSize(0);
+  MeasureLane(*database, queries, flags, &canonical);
+  MeasureLane(*database, queries, flags, &optimizer);
 
   std::printf("exec batch bench: %d queries x %d joins, scale %.2f, "
               "batch %d, %llu result rows\n",
               flags.queries, flags.joins, flags.scale, flags.batch,
-              static_cast<unsigned long long>(total_rows));
-  std::printf("%-28s %10.1fms  peak %10llu B\n", "row-at-a-time T_E",
-              row_seconds * 1e3, static_cast<unsigned long long>(row_peak));
-  std::printf("%-28s %10.1fms  peak %10llu B\n", "vectorized T_E",
-              batch_seconds * 1e3,
-              static_cast<unsigned long long>(batch_peak));
-  std::printf("%-28s %10.1fms  peak %10llu B\n", "late-mat T_E",
-              late_seconds * 1e3, static_cast<unsigned long long>(late_peak));
-  std::printf("batch-path speedup: %.2fx\n", speedup);
-  std::printf("late-mat speedup over batch: %.2fx, peak bytes %.1f%% of "
-              "batch\n",
-              late_speedup,
-              batch_peak > 0
-                  ? 100.0 * static_cast<double>(late_peak) /
-                        static_cast<double>(batch_peak)
-                  : 0.0);
+              static_cast<unsigned long long>(canonical.result_rows));
+  std::printf("optimizer plans: %d hash / %d merge / %d nested-loop joins\n",
+              join_mix[0], join_mix[1], join_mix[2]);
+  for (const Lane* lane : {&canonical, &optimizer}) {
+    std::printf("%-10s %-14s %10.1fms  peak %10llu B\n", lane->name,
+                "row T_E", lane->row_seconds * 1e3,
+                static_cast<unsigned long long>(lane->row_peak));
+    std::printf("%-10s %-14s %10.1fms  peak %10llu B\n", lane->name,
+                "vectorized T_E", lane->vec_seconds * 1e3,
+                static_cast<unsigned long long>(lane->vec_peak));
+    std::printf("%-10s vectorized speedup: %.2fx, peak bytes %.1f%% of row\n",
+                lane->name, lane->speedup(),
+                lane->row_peak > 0
+                    ? 100.0 * static_cast<double>(lane->vec_peak) /
+                          static_cast<double>(lane->row_peak)
+                    : 0.0);
+  }
 
   bool ok = true;
+  const uint64_t mismatches = canonical.mismatches + optimizer.mismatches;
   if (mismatches > 0) {
     ok = false;
     std::printf("!! %llu bit-identity mismatches\n",
                 static_cast<unsigned long long>(mismatches));
   }
-  if (flags.min_speedup > 0.0 && speedup < flags.min_speedup) {
-    ok = false;
-    std::printf("!! batch speedup %.2fx below required %.2fx\n", speedup,
-                flags.min_speedup);
-  }
-  if (flags.min_late_speedup > 0.0) {
-    if (late_speedup < flags.min_late_speedup) {
+  if (flags.min_speedup > 0.0) {
+    if (canonical.speedup() < flags.min_speedup) {
       ok = false;
-      std::printf("!! late-mat speedup %.2fx below required %.2fx\n",
-                  late_speedup, flags.min_late_speedup);
+      std::printf("!! vectorized speedup %.2fx below required %.2fx\n",
+                  canonical.speedup(), flags.min_speedup);
     }
-    if (late_peak >= batch_peak) {
+    if (canonical.vec_peak >= canonical.row_peak) {
       ok = false;
-      std::printf("!! late-mat peak bytes %llu not below batch peak %llu\n",
-                  static_cast<unsigned long long>(late_peak),
-                  static_cast<unsigned long long>(batch_peak));
+      std::printf("!! vectorized peak bytes %llu not below row peak %llu\n",
+                  static_cast<unsigned long long>(canonical.vec_peak),
+                  static_cast<unsigned long long>(canonical.row_peak));
     }
   }
 
@@ -283,16 +297,19 @@ int Run(int argc, char** argv) {
         line, sizeof(line),
         "{\"bench\":\"exec_batch\",\"queries\":%d,\"joins\":%d,"
         "\"scale\":%.3f,\"batch\":%d,\"repeats\":%d,\"row_te_ms\":%.3f,"
-        "\"batch_te_ms\":%.3f,\"late_te_ms\":%.3f,\"speedup\":%.3f,"
-        "\"late_speedup\":%.3f,\"row_peak_bytes\":%llu,"
-        "\"batch_peak_bytes\":%llu,\"late_peak_bytes\":%llu,"
+        "\"vec_te_ms\":%.3f,\"speedup\":%.3f,\"row_peak_bytes\":%llu,"
+        "\"vec_peak_bytes\":%llu,\"opt_row_te_ms\":%.3f,"
+        "\"opt_vec_te_ms\":%.3f,\"opt_speedup\":%.3f,"
+        "\"opt_hash_joins\":%d,\"opt_merge_joins\":%d,\"opt_nl_joins\":%d,"
         "\"result_rows\":%llu,\"mismatches\":%llu,\"delta\":",
         flags.queries, flags.joins, flags.scale, flags.batch, flags.repeats,
-        row_seconds * 1e3, batch_seconds * 1e3, late_seconds * 1e3, speedup,
-        late_speedup, static_cast<unsigned long long>(row_peak),
-        static_cast<unsigned long long>(batch_peak),
-        static_cast<unsigned long long>(late_peak),
-        static_cast<unsigned long long>(total_rows),
+        canonical.row_seconds * 1e3, canonical.vec_seconds * 1e3,
+        canonical.speedup(),
+        static_cast<unsigned long long>(canonical.row_peak),
+        static_cast<unsigned long long>(canonical.vec_peak),
+        optimizer.row_seconds * 1e3, optimizer.vec_seconds * 1e3,
+        optimizer.speedup(), join_mix[0], join_mix[1], join_mix[2],
+        static_cast<unsigned long long>(canonical.result_rows),
         static_cast<unsigned long long>(mismatches));
     metrics_out << line << delta.ToJson() << "}\n";
   }

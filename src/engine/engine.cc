@@ -138,7 +138,6 @@ RunStats Engine::RunQuery(const qry::Query& query,
   exec_opts.underestimates_only = config.underestimates_only;
   exec_opts.num_threads = config.exec_threads;
   exec_opts.batch_size = config.exec_batch_size;
-  exec_opts.late_materialization = config.exec_late_mat;
   exec_opts.trace = trace;
 
   while (true) {

@@ -30,20 +30,20 @@ struct RunConfig {
   /// and the bench_ablation_trigger study).
   size_t min_trip_rows = 0;
   bool underestimates_only = false;
-  /// Caps this query's intra-query executor parallelism (hash-join build/
-  /// probe, residual scan filters); 0 = the global pool's full size, 1 =
+  /// Caps this query's intra-query executor parallelism (scan filters,
+  /// hash-join build/probe); 0 = the global pool's full size, 1 =
   /// sequential. Results are bit-identical at every setting. The serving
   /// layer uses this to trade per-query latency against cross-query
   /// throughput when many queries share the pool.
   int exec_threads = 0;
-  /// Executor batch size: -1 = follow the LPCE_EXEC_BATCH environment knob,
-  /// 0 = row-at-a-time operators, > 0 = vectorized batches of this many rows
-  /// (see exec/vectorized.h). Bit-identical results at every setting.
+  /// Executor path (Executor::Options::batch_size): 0 = the row-at-a-time
+  /// oracle; any other value = the vectorized path over row-id
+  /// intermediates, with > 0 setting the rows per batch. Bit-identical
+  /// results and deterministic traces at every setting.
   int exec_batch_size = -1;
-  /// Late materialization (row-id intermediates): -1 = follow the
-  /// LPCE_EXEC_LATE_MAT environment knob, 0 = off, > 0 = on (see
-  /// Executor::Options::late_materialization). Bit-identical results and
-  /// deterministic traces at every setting.
+  /// Ignored by the engine: the vectorized path always carries row-id
+  /// intermediates. Kept because the benchmark harness (perfbench) prints it
+  /// with the rest of the configuration.
   int exec_late_mat = -1;
 };
 

@@ -1,17 +1,14 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <atomic>
-
-#include "common/metrics.h"
-#include "common/profiler.h"
-#include "common/selvec.h"
-#include "common/thread_pool.h"
-#include "common/timer.h"
-#include "exec/vectorized.h"
 #include <functional>
 #include <limits>
 #include <unordered_map>
+
+#include "common/metrics.h"
+#include "common/profiler.h"
+#include "common/timer.h"
+#include "exec/vectorized.h"
 
 namespace lpce::exec {
 
@@ -28,34 +25,6 @@ void AppendUnique(std::vector<db::ColRef>* cols, db::ColRef ref) {
     if (c == ref) return;
   }
   cols->push_back(ref);
-}
-
-// Inputs below this many rows run the sequential operator paths: the pool
-// dispatch is not worth it, and tiny intermediates dominate the plans here.
-constexpr size_t kMinParallelRows = 4096;
-
-// Effective worker count for an operator: the global pool capped by the
-// per-run knob.
-int EffectiveThreads(int num_threads) {
-  int workers = common::GlobalPool().size();
-  if (num_threads > 0) workers = std::min(workers, num_threads);
-  return workers;
-}
-
-// The late kernels cover hash joins over scans and late pseudo relations.
-// Re-planned remainders may pick merge/nest-loop joins (deliberately
-// mispriced row-kernel alternatives) or carry materialized pseudo rowsets
-// from an earlier non-late round; such plans run the plain batch path — the
-// knob is per-run, not per-operator, so a run never mixes representations.
-bool PlanSupportsLate(const PlanNode& node) {
-  if (node.is_join()) {
-    return node.op == PhysOp::kHashJoin && PlanSupportsLate(*node.outer) &&
-           PlanSupportsLate(*node.inner);
-  }
-  if (node.op == PhysOp::kPseudoScan) {
-    return node.pseudo != nullptr && node.pseudo->late();
-  }
-  return true;
 }
 
 }  // namespace
@@ -102,15 +71,7 @@ RowSetPtr Executor::Execute(PlanNode* root) {
 Executor::RunResult Executor::Run(PlanNode* root, const Options& options) {
   peak_bytes_ = 0;
   live_bytes_ = 0;
-  // Resolved once per run: -1 defers to the LPCE_EXEC_BATCH environment knob
-  // so whole suites can be re-run in batch mode without code changes.
-  batch_size_ = options.batch_size >= 0 ? options.batch_size : BatchSizeFromEnv();
-  late_ = options.late_materialization >= 0 ? options.late_materialization > 0
-                                            : LateMatFromEnv();
-  // Late materialization is a refinement of the batch path: row-id columns
-  // are per-batch selection vectors promoted to intermediates.
-  if (late_ && batch_size_ <= 0) batch_size_ = kDefaultBatchSize;
-  if (late_) late_ = PlanSupportsLate(*root);
+  batch_size_ = options.batch_size >= 0 ? options.batch_size : kDefaultBatchSize;
   RunResult result;
   RowSetPtr out = ExecuteNode(root, {}, options, &result);
   if (result.tripped == nullptr) result.result = out;
@@ -123,11 +84,11 @@ Executor::RunResult Executor::Run(PlanNode* root, const Options& options) {
 RowSetPtr Executor::ExecuteNode(PlanNode* node,
                                 const std::vector<db::ColRef>& required,
                                 const Options& options, RunResult* result) {
-  // Late runs fuse a hash join over a leaf scan into one scan→probe pipeline
-  // (DESIGN.md "Pipelined execution & late materialization"). Fusion stops at
-  // join children: their checkpoints must be evaluated before the parent may
-  // run, which is exactly a pipeline breaker.
-  if (late_ && node->op == PhysOp::kHashJoin &&
+  // Vectorized runs fuse a hash join over a leaf scan into one scan→probe
+  // pipeline (DESIGN.md "Vectorized execution"). Fusion stops at join
+  // children: their checkpoints must be evaluated before the parent may run,
+  // which is exactly a pipeline breaker.
+  if (vectorized() && node->op == PhysOp::kHashJoin &&
       (node->outer->op == PhysOp::kSeqScan ||
        node->outer->op == PhysOp::kIndexScan) &&
       !node->inner->is_join()) {
@@ -303,7 +264,7 @@ RowSetPtr Executor::ExecuteFusedScanJoin(PlanNode* node,
     // an aborted run.
     scan_out = BatchScan(table, table_id, dense ? nullptr : &rows,
                          scan_residual, outer_req, batch_size_,
-                         options.num_threads, /*late=*/true);
+                         options.num_threads);
   }
 
   int outer_span = -1, inner_span = -1;
@@ -381,9 +342,9 @@ bool Executor::ResolveScanInput(const PlanNode& node,
     return false;
   }
   *residual = node.filters;
-  // A dense scan visits the whole table in storage order; only the row path
-  // materializes the identity row list for it (the batch paths iterate
-  // positions directly).
+  // A dense scan visits the whole table in storage order; only the row
+  // oracle materializes the identity row list for it (the batch kernels
+  // iterate positions directly).
   return true;
 }
 
@@ -399,82 +360,37 @@ RowSetPtr Executor::ExecuteScan(const PlanNode& node,
   std::vector<qry::Predicate> residual;
   const bool dense = ResolveScanInput(node, &rows, &residual);
 
-  if (batch_size_ > 0) {
+  if (vectorized()) {
     return BatchScan(table, table_id, dense ? nullptr : &rows, residual,
-                     required, batch_size_, num_threads, late_);
+                     required, batch_size_, num_threads);
   }
-  auto out = std::make_shared<RowSet>();
-  out->schema = required;
-  out->cols.resize(required.size());
+  // Row oracle: one sequential filter pass, then one gather per column.
   if (dense) {
     rows.resize(table.num_rows());
     for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<uint32_t>(i);
   }
-
-  // Apply residual filters: every chunk filters its slice into a private
-  // buffer and the buffers are concatenated in chunk order, so the surviving
-  // row order matches the sequential path exactly.
-  if (!residual.empty()) {
-    auto filter_range = [&](size_t b, size_t e, std::vector<uint32_t>* kept) {
-      for (size_t i = b; i < e; ++i) {
-        const uint32_t row = rows[i];
-        bool pass = true;
-        for (const auto& f : residual) {
-          if (!qry::EvalCmp(table.at(row, f.col.column), f.op, f.value)) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) kept->push_back(row);
+  std::vector<uint32_t> kept;
+  kept.reserve(rows.size());
+  for (const uint32_t row : rows) {
+    bool pass = true;
+    for (const auto& f : residual) {
+      if (!qry::EvalCmp(table.at(row, f.col.column), f.op, f.value)) {
+        pass = false;
+        break;
       }
-    };
-    const int workers = EffectiveThreads(num_threads);
-    if (workers > 1 && rows.size() >= kMinParallelRows) {
-      const auto chunks = common::ThreadPool::Partition(
-          0, rows.size(), kMinParallelRows / 4, workers);
-      std::vector<std::vector<uint32_t>> kept(chunks.size());
-      common::GlobalPool().ParallelFor(
-          0, chunks.size(), 1,
-          [&](size_t c0, size_t c1) {
-            LPCE_PROFILE_SCOPE("exec.worker.filter");
-            for (size_t c = c0; c < c1; ++c) {
-              kept[c].reserve(chunks[c].second - chunks[c].first);
-              filter_range(chunks[c].first, chunks[c].second, &kept[c]);
-            }
-          },
-          workers);
-      size_t total = 0;
-      for (const auto& k : kept) total += k.size();
-      std::vector<uint32_t> merged;
-      merged.reserve(total);
-      for (const auto& k : kept) merged.insert(merged.end(), k.begin(), k.end());
-      rows.swap(merged);
-    } else {
-      std::vector<uint32_t> kept;
-      kept.reserve(rows.size());
-      filter_range(0, rows.size(), &kept);
-      rows.swap(kept);
     }
+    if (pass) kept.push_back(row);
   }
-
-  out->row_count = rows.size();
-  const int workers = EffectiveThreads(num_threads);
+  auto out = std::make_shared<RowSet>();
+  out->schema = required;
+  out->cols.resize(required.size());
+  out->row_count = kept.size();
   for (size_t c = 0; c < required.size(); ++c) {
     LPCE_CHECK(required[c].table == table_id);
     const auto& src = table.column(required[c].column);
     auto& dst = out->cols[c];
-    dst.resize(rows.size());
-    if (workers > 1 && rows.size() >= kMinParallelRows) {
-      common::GlobalPool().ParallelFor(
-          0, rows.size(), kMinParallelRows / 4,
-          [&](size_t b, size_t e) {
-            LPCE_PROFILE_SCOPE("exec.worker.gather");
-            for (size_t i = b; i < e; ++i) dst[i] = src[rows[i]];
-          },
-          workers);
-    } else {
-      for (size_t i = 0; i < rows.size(); ++i) dst[i] = src[rows[i]];
-    }
+    dst.resize(kept.size());
+    for (size_t i = 0; i < kept.size(); ++i) dst[i] = src[kept[i]];
   }
   return out;
 }
@@ -487,11 +403,11 @@ RowSetPtr Executor::ExecutePseudo(const PlanNode& node,
   auto out = std::make_shared<RowSet>();
   out->row_count = src.row_count;
   out->schema = required;
-  if (late_) {
-    // Late run (implies a late source, see PlanSupportsLate): pass the
-    // retained row-id columns through, pruned to the tables the remainder of
-    // the plan still references. A late pseudo can serve any column of its
-    // tables — availability is per table, not per recorded schema entry.
+  if (vectorized()) {
+    // Pass the retained row-id columns through, pruned to the tables the
+    // remainder of the plan still references. A late pseudo can serve any
+    // column of its tables — availability is per table, not per recorded
+    // schema entry.
     for (int32_t table_id : LateRidTables(node.rels, required)) {
       const int idx = src.RidIndex(table_id);
       LPCE_CHECK_MSG(idx >= 0, "late pseudo relation missing a row-id column");
@@ -500,22 +416,8 @@ RowSetPtr Executor::ExecutePseudo(const PlanNode& node,
     }
     return out;
   }
+  LPCE_CHECK_MSG(!src.late(), "row oracle given a row-id pseudo relation");
   out->cols.resize(required.size());
-  if (src.late()) {
-    // A late round tripped and this round runs materialized (the re-planned
-    // remainder picked operators the late kernels do not cover): force the
-    // deferred payload gather from the base tables now.
-    for (size_t c = 0; c < required.size(); ++c) {
-      const int idx = src.RidIndex(required[c].table);
-      LPCE_CHECK_MSG(idx >= 0, "pseudo relation missing row ids for a column");
-      const auto& rid = src.rid_cols[idx];
-      const auto& col = db_->table(required[c].table).column(required[c].column);
-      auto& dst = out->cols[c];
-      dst.resize(rid.size());
-      common::GatherSelected(col.data(), rid.data(), rid.size(), dst.data());
-    }
-    return out;
-  }
   for (size_t c = 0; c < required.size(); ++c) {
     const int idx = src.ColumnIndex(required[c]);
     LPCE_CHECK_MSG(idx >= 0, "pseudo relation missing a required column");
@@ -532,15 +434,27 @@ RowSetPtr Executor::ExecuteJoin(const PlanNode& node, const RowSet& outer,
   LPCE_PROFILE_SCOPE(node.op == PhysOp::kHashJoin    ? "exec.hash_join"
                      : node.op == PhysOp::kMergeJoin ? "exec.merge_join"
                                                      : "exec.nestloop_join");
-  // Late runs dispatch before any column-index resolution: late inputs carry
-  // row-id columns only, and the late kernel resolves its accessors against
-  // the base tables directly.
-  if (late_) {
-    LPCE_CHECK(node.op == PhysOp::kHashJoin && batch_size_ > 0);
-    return LateHashJoin(*db_, outer, inner, node.outer_key, node.inner_key,
-                        node.residual_keys, required,
-                        LateRidTables(node.rels, required), max_rows, overflow,
-                        batch_size_, num_threads);
+  // Vectorized runs dispatch before any column-index resolution: their
+  // inputs carry row-id columns only, and the late kernels resolve their
+  // accessors against the base tables directly.
+  if (vectorized()) {
+    const std::vector<int32_t> out_rids = LateRidTables(node.rels, required);
+    switch (node.op) {
+      case PhysOp::kHashJoin:
+        return LateHashJoin(*db_, outer, inner, node.outer_key, node.inner_key,
+                            node.residual_keys, required, out_rids, max_rows,
+                            overflow, batch_size_, num_threads);
+      case PhysOp::kMergeJoin:
+        return LateMergeJoin(*db_, outer, inner, node.outer_key,
+                             node.inner_key, node.residual_keys, required,
+                             out_rids, max_rows, overflow);
+      case PhysOp::kNestLoopJoin:
+        return LateNestLoopJoin(*db_, outer, inner, node.outer_key,
+                                node.inner_key, node.residual_keys, required,
+                                out_rids, max_rows, overflow);
+      default:
+        LPCE_CHECK_MSG(false, "not a join operator");
+    }
   }
   const int outer_key = outer.ColumnIndex(node.outer_key);
   const int inner_key = inner.ColumnIndex(node.inner_key);
@@ -557,20 +471,6 @@ RowSetPtr Executor::ExecuteJoin(const PlanNode& node, const RowSet& outer,
     const int ic = inner.ColumnIndex(inner_col);
     LPCE_CHECK_MSG(oc >= 0 && ic >= 0, "residual key column not materialized");
     residual.emplace_back(oc, ic);
-  }
-
-  // Vectorized hash join (merge and nested-loop joins always run the row
-  // kernels — they exist as deliberately mispriced alternatives, not hot
-  // paths).
-  if (node.op == PhysOp::kHashJoin && batch_size_ > 0) {
-    return BatchHashJoin(outer, inner, outer_key, inner_key, residual,
-                         required, max_rows, overflow, batch_size_,
-                         num_threads);
-  }
-  if (node.op == PhysOp::kHashJoin && EffectiveThreads(num_threads) > 1 &&
-      okeys.size() + ikeys.size() >= kMinParallelRows) {
-    return ParallelHashJoin(outer, inner, outer_key, inner_key, residual,
-                            required, max_rows, overflow, num_threads);
   }
 
   // Source (side, column index) for every output column.
@@ -629,194 +529,15 @@ RowSetPtr Executor::ExecuteJoin(const PlanNode& node, const RowSet& outer,
       }
       break;
     }
-    case PhysOp::kMergeJoin: {
-      std::vector<uint32_t> operm(okeys.size()), iperm(ikeys.size());
-      for (size_t i = 0; i < operm.size(); ++i) operm[i] = static_cast<uint32_t>(i);
-      for (size_t i = 0; i < iperm.size(); ++i) iperm[i] = static_cast<uint32_t>(i);
-      std::sort(operm.begin(), operm.end(),
-                [&](uint32_t a, uint32_t b) { return okeys[a] < okeys[b]; });
-      std::sort(iperm.begin(), iperm.end(),
-                [&](uint32_t a, uint32_t b) { return ikeys[a] < ikeys[b]; });
-      size_t oi = 0, ii = 0;
-      while (oi < operm.size() && ii < iperm.size()) {
-        const int64_t ov = okeys[operm[oi]];
-        const int64_t iv = ikeys[iperm[ii]];
-        if (ov < iv) {
-          ++oi;
-        } else if (ov > iv) {
-          ++ii;
-        } else {
-          size_t oe = oi;
-          while (oe < operm.size() && okeys[operm[oe]] == ov) ++oe;
-          size_t ie = ii;
-          while (ie < iperm.size() && ikeys[iperm[ie]] == iv) ++ie;
-          for (size_t a = oi; a < oe; ++a) {
-            for (size_t b = ii; b < ie; ++b) emit(operm[a], iperm[b]);
-            if (over_limit()) return out;
-          }
-          oi = oe;
-          ii = ie;
-        }
-      }
+    case PhysOp::kMergeJoin:
+      MergePairs(okeys, ikeys, emit, over_limit);
       break;
-    }
-    case PhysOp::kNestLoopJoin: {
-      // Deliberately quadratic — the whole point of the paper's running
-      // example is that a mistaken nested loop on a large outer is slow.
-      for (size_t r = 0; r < okeys.size(); ++r) {
-        const int64_t key = okeys[r];
-        for (size_t ir = 0; ir < ikeys.size(); ++ir) {
-          if (ikeys[ir] == key) emit(r, ir);
-        }
-        if (over_limit()) return out;
-      }
+    case PhysOp::kNestLoopJoin:
+      NestLoopPairs(okeys, ikeys, emit, over_limit);
       break;
-    }
     default:
       LPCE_CHECK_MSG(false, "not a join operator");
   }
-  return out;
-}
-
-RowSetPtr Executor::ParallelHashJoin(
-    const RowSet& outer, const RowSet& inner, int outer_key, int inner_key,
-    const std::vector<std::pair<int, int>>& residual,
-    const std::vector<db::ColRef>& required, size_t max_rows, bool* overflow,
-    int num_threads) {
-  const auto& okeys = outer.cols[outer_key];
-  const auto& ikeys = inner.cols[inner_key];
-  const int workers = EffectiveThreads(num_threads);
-  common::ThreadPool& pool = common::GlobalPool();
-
-  struct Source {
-    bool from_outer;
-    int col;
-  };
-  std::vector<Source> sources;
-  sources.reserve(required.size());
-  for (const auto& ref : required) {
-    int idx = outer.ColumnIndex(ref);
-    if (idx >= 0) {
-      sources.push_back({true, idx});
-    } else {
-      idx = inner.ColumnIndex(ref);
-      LPCE_CHECK_MSG(idx >= 0, "join output column not found in either side");
-      sources.push_back({false, idx});
-    }
-  }
-
-  // Partitioned build: rows are hashed into `workers` partitions; each
-  // partition's table is built by one task. Within a partition the rows keep
-  // their ascending order, so a key's match list is identical to the one the
-  // sequential build produces.
-  // Partition ids are stored in a byte; more than 255 partitions would be
-  // far past any sane pool size anyway.
-  const size_t P = std::min<size_t>(static_cast<size_t>(workers), 255);
-  std::vector<uint8_t> part(ikeys.size());
-  pool.ParallelFor(
-      0, ikeys.size(), 4096,
-      [&](size_t b, size_t e) {
-        LPCE_PROFILE_SCOPE("exec.worker.partition");
-        for (size_t r = b; r < e; ++r) {
-          part[r] = static_cast<uint8_t>(MixJoinKey(ikeys[r]) % P);
-        }
-      },
-      workers);
-  std::vector<std::unordered_map<int64_t, std::vector<uint32_t>>> build(P);
-  pool.ParallelFor(
-      0, P, 1,
-      [&](size_t p0, size_t p1) {
-        LPCE_PROFILE_SCOPE("exec.worker.build");
-        for (size_t p = p0; p < p1; ++p) {
-          build[p].reserve(ikeys.size() / P + 1);
-          for (size_t r = 0; r < ikeys.size(); ++r) {
-            if (part[r] == p) build[p][ikeys[r]].push_back(static_cast<uint32_t>(r));
-          }
-        }
-      },
-      workers);
-
-  // Parallel probe: each chunk of outer rows emits into private per-column
-  // buffers; concatenating them in chunk order reproduces the sequential
-  // output row order exactly (outer order, then build-list order per key).
-  const auto chunks =
-      common::ThreadPool::Partition(0, okeys.size(), 1024, workers);
-  struct ChunkOut {
-    std::vector<std::vector<int64_t>> cols;
-    size_t rows = 0;
-  };
-  std::vector<ChunkOut> partials(chunks.size());
-  std::atomic<size_t> emitted{0};
-  std::atomic<bool> over{false};
-  pool.ParallelFor(
-      0, chunks.size(), 1,
-      [&](size_t c0, size_t c1) {
-        LPCE_PROFILE_SCOPE("exec.worker.probe");
-        for (size_t c = c0; c < c1; ++c) {
-          ChunkOut& local = partials[c];
-          local.cols.resize(sources.size());
-          for (size_t r = chunks[c].first; r < chunks[c].second; ++r) {
-            if (over.load(std::memory_order_relaxed)) return;
-            const int64_t key = okeys[r];
-            const auto& table = build[MixJoinKey(key) % P];
-            auto it = table.find(key);
-            if (it == table.end()) continue;
-            size_t emits = 0;
-            for (uint32_t ir : it->second) {
-              bool pass = true;
-              for (const auto& [oc, ic] : residual) {
-                if (outer.cols[oc][r] != inner.cols[ic][ir]) {
-                  pass = false;
-                  break;
-                }
-              }
-              if (!pass) continue;
-              for (size_t s = 0; s < sources.size(); ++s) {
-                local.cols[s].push_back(sources[s].from_outer
-                                            ? outer.cols[sources[s].col][r]
-                                            : inner.cols[sources[s].col][ir]);
-              }
-              ++emits;
-            }
-            // Count only rows actually emitted: residual filters can reject
-            // candidates the primary key surfaced.
-            local.rows += emits;
-            if (max_rows > 0 && emits > 0 &&
-                emitted.fetch_add(emits, std::memory_order_relaxed) + emits >
-                    max_rows) {
-              over.store(true, std::memory_order_relaxed);
-              return;
-            }
-          }
-        }
-      },
-      workers);
-
-  auto out = std::make_shared<RowSet>();
-  out->schema = required;
-  out->cols.resize(required.size());
-  if (over.load()) {
-    // The run is abandoned; the partially-built output is discarded upstream.
-    *overflow = true;
-    return out;
-  }
-  size_t total = 0;
-  for (const auto& p : partials) total += p.rows;
-  out->row_count = total;
-  // Per-column concatenation in chunk order, itself parallel across columns.
-  pool.ParallelFor(
-      0, sources.size(), 1,
-      [&](size_t s0, size_t s1) {
-        LPCE_PROFILE_SCOPE("exec.worker.concat");
-        for (size_t s = s0; s < s1; ++s) {
-          auto& dst = out->cols[s];
-          dst.reserve(total);
-          for (const auto& p : partials) {
-            dst.insert(dst.end(), p.cols[s].begin(), p.cols[s].end());
-          }
-        }
-      },
-      workers);
   return out;
 }
 

@@ -7,12 +7,13 @@
 // stops with all finished intermediates retained so the re-optimization
 // controller can re-plan the remainder.
 //
-// Two operator implementations share this control loop: the row-at-a-time
-// kernels below (the differential oracle) and the vectorized batch kernels
-// (exec/vectorized.h, selected by Options::batch_size / LPCE_EXEC_BATCH),
-// which stream scans and hash joins in column-oriented batches with
-// branch-free selection vectors. Both produce bit-identical rowsets and
-// byte-identical deterministic traces at every batch and pool size.
+// Two operator implementations share this control loop: the vectorized
+// kernels (exec/vectorized.h), the production path, whose intermediates
+// carry base-table row ids and whose scans and hash joins stream in batches
+// with branch-free selection vectors; and the single-threaded row-at-a-time
+// kernels below, kept only as the differential oracle (Options::batch_size
+// = 0). Both produce the same rows in the same order and byte-identical
+// deterministic traces at every batch and pool size.
 #ifndef LPCE_EXEC_EXECUTOR_H_
 #define LPCE_EXEC_EXECUTOR_H_
 
@@ -48,25 +49,17 @@ class Executor {
     /// this (0 = unlimited). Used by the workload generator to reject
     /// pathologically exploding queries.
     size_t max_node_rows = 0;
-    /// Caps the worker threads used for hash-join build/probe and residual
-    /// scan filtering (0 = the global pool's full size, 1 = sequential).
-    /// Output row order is deterministic — identical at every setting.
+    /// Caps the worker threads the vectorized kernels use for scan filters
+    /// and hash-join build/probe (0 = the global pool's full size, 1 =
+    /// sequential; the row oracle is always sequential). Output row order is
+    /// deterministic — identical at every setting.
     int num_threads = 0;
-    /// Executor batch size: -1 = follow the LPCE_EXEC_BATCH environment knob
-    /// (see exec/vectorized.h), 0 = row-at-a-time operators, > 0 = the
-    /// vectorized batch path with this many rows per batch. Results, actual
-    /// cardinalities, and traces are bit-identical at every setting — the
-    /// row path is the batch path's differential oracle.
+    /// Executor path: < 0 = the vectorized path at kDefaultBatchSize rows per
+    /// batch, > 0 = the vectorized path at this many rows per batch, 0 = the
+    /// row-at-a-time oracle. Results, actual cardinalities, and deterministic
+    /// traces are bit-identical at every setting. A pseudo scan replays a
+    /// rowset saved under the same path (row ids or payload columns).
     int batch_size = -1;
-    /// Late materialization (row-id intermediates, DESIGN.md "Pipelined
-    /// execution & late materialization"): -1 = follow the LPCE_EXEC_LATE_MAT
-    /// environment knob, 0 = off, > 0 = on. Implies the batch path (a zero
-    /// batch_size is promoted to kDefaultBatchSize). Falls back to the plain
-    /// batch path for any plan the late kernels do not cover (merge/nest-loop
-    /// joins picked by re-planning, materialized pseudo scans), so results
-    /// and deterministic traces stay bit-identical to both oracles at every
-    /// setting.
-    int late_materialization = -1;
     /// When set, every finished operator appends a span and every checkpoint
     /// evaluation appends an event (see engine/trace.h). Not owned.
     eng::QueryTrace* trace = nullptr;
@@ -115,7 +108,7 @@ class Executor {
                   uint64_t outer_rows, uint64_t inner_rows);
 
   /// Fused scan-filter → first-probe execution of a hash join whose outer
-  /// child is a leaf scan (late-materialization runs only): each scanned
+  /// child is a leaf scan (vectorized runs only): each scanned
   /// batch's selection vector feeds the probe directly, with per-node
   /// bookkeeping emitted afterwards in oracle order (outer, inner, join).
   RowSetPtr ExecuteFusedScanJoin(PlanNode* node,
@@ -141,14 +134,6 @@ class Executor {
   RowSetPtr ExecuteJoin(const PlanNode& node, const RowSet& outer, const RowSet& inner,
                         const std::vector<db::ColRef>& required, size_t max_rows,
                         bool* overflow, int num_threads);
-  /// `residual` pairs resolved column indexes (outer, inner) of the extra
-  /// equi-join predicates; a candidate match is emitted only when every pair
-  /// agrees.
-  RowSetPtr ParallelHashJoin(const RowSet& outer, const RowSet& inner,
-                             int outer_key, int inner_key,
-                             const std::vector<std::pair<int, int>>& residual,
-                             const std::vector<db::ColRef>& required,
-                             size_t max_rows, bool* overflow, int num_threads);
 
   /// Splits parent-required columns into those provided by `rels`.
   std::vector<db::ColRef> SideRequired(const std::vector<db::ColRef>& required,
@@ -158,13 +143,10 @@ class Executor {
   const qry::Query* query_;
   size_t peak_bytes_ = 0;
   size_t live_bytes_ = 0;
-  /// Effective batch size of the current run (Options::batch_size with -1
-  /// resolved against LPCE_EXEC_BATCH); 0 = row-at-a-time.
+  /// Rows per batch of the current run (Options::batch_size with < 0
+  /// resolved to kDefaultBatchSize); 0 = the row oracle.
   int batch_size_ = 0;
-  /// Whether the current run carries row-id intermediates
-  /// (Options::late_materialization resolved against LPCE_EXEC_LATE_MAT,
-  /// then gated on the plan shape being coverable by the late kernels).
-  bool late_ = false;
+  bool vectorized() const { return batch_size_ > 0; }
 };
 
 /// Builds an all-hash-join plan following the canonical left-deep tree for

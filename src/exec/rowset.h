@@ -14,8 +14,9 @@ namespace lpce::exec {
 /// `row_count` is tracked explicitly so zero-column results (everything
 /// projected away under a COUNT(*)) still carry their cardinality.
 ///
-/// Late materialization (LPCE_EXEC_LATE_MAT): instead of payload columns,
-/// a rowset may carry aligned row-id columns into the base tables —
+/// Late materialization (the vectorized executor's intermediates): instead
+/// of payload columns, a rowset may carry aligned row-id columns into the
+/// base tables —
 /// `rid_cols[i][r]` is the storage row of table `rid_tables[i]` that
 /// contributed to output row r. `schema` still records which logical
 /// columns the rowset provides (so ColumnIndex-based resolution keeps

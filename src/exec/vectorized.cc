@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -14,15 +13,24 @@ namespace lpce::exec {
 
 namespace {
 
-// Inputs below this many rows run the sequential paths — same threshold as
-// the row-at-a-time operators (exec/executor.cc), so flipping batch mode
-// never changes *when* the pool is engaged, only what each worker runs.
+// Inputs below this many rows run the sequential paths: the pool dispatch is
+// not worth it, and tiny intermediates dominate the plans here.
 constexpr size_t kMinParallelRows = 4096;
 
 int EffectiveThreads(int num_threads) {
   int workers = common::GlobalPool().size();
   if (num_threads > 0) workers = std::min(workers, num_threads);
   return workers;
+}
+
+/// splitmix64 finalizer — spreads join keys across hash buckets even when
+/// they are small consecutive integers.
+uint64_t MixJoinKey(int64_t key) {
+  uint64_t x = static_cast<uint64_t>(key);
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
 }
 
 /// Refines the selection vector `sel` (global row ids, length n) in place
@@ -54,29 +62,6 @@ size_t RefineCmp(const std::vector<int64_t>& col, qry::CmpOp op, int64_t lit,
   return n;
 }
 
-/// Source (side, column index) for every join output column.
-struct Source {
-  bool from_outer;
-  int col;
-};
-
-std::vector<Source> ResolveSources(const RowSet& outer, const RowSet& inner,
-                                   const std::vector<db::ColRef>& required) {
-  std::vector<Source> sources;
-  sources.reserve(required.size());
-  for (const auto& ref : required) {
-    int idx = outer.ColumnIndex(ref);
-    if (idx >= 0) {
-      sources.push_back({true, idx});
-    } else {
-      idx = inner.ColumnIndex(ref);
-      LPCE_CHECK_MSG(idx >= 0, "join output column not found in either side");
-      sources.push_back({false, idx});
-    }
-  }
-  return sources;
-}
-
 common::Counter* BatchesCounter() {
   static common::Counter* batches =
       common::MetricsRegistry::Global().counter("executor.batches_total");
@@ -85,31 +70,11 @@ common::Counter* BatchesCounter() {
 
 }  // namespace
 
-int BatchSizeFromEnv() {
-  const char* env = std::getenv("LPCE_EXEC_BATCH");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long value = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || value <= 0) return 0;
-  // "1" means "enabled, default size"; anything larger is a literal size,
-  // clamped so a typo can't demand a gigarow selection buffer.
-  if (value == 1) return kDefaultBatchSize;
-  return static_cast<int>(std::min<long>(value, 1 << 20));
-}
-
-bool LateMatFromEnv() {
-  const char* env = std::getenv("LPCE_EXEC_LATE_MAT");
-  if (env == nullptr || *env == '\0') return false;
-  char* end = nullptr;
-  const long value = std::strtol(env, &end, 10);
-  return end != env && *end == '\0' && value > 0;
-}
-
 RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
                     const std::vector<uint32_t>* index_rows,
                     const std::vector<qry::Predicate>& residual,
                     const std::vector<db::ColRef>& required, int batch_size,
-                    int num_threads, bool late) {
+                    int num_threads) {
   LPCE_PROFILE_SCOPE("exec.batch_scan");
   LPCE_CHECK(batch_size > 0);
   const size_t B = static_cast<size_t>(batch_size);
@@ -117,24 +82,16 @@ RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
   auto out = std::make_shared<RowSet>();
   out->schema = required;
   for (const auto& ref : required) LPCE_CHECK(ref.table == table_id);
-  if (!late) out->cols.resize(required.size());
+  out->rid_tables.push_back(table_id);
+  std::vector<uint32_t>& rows = out->rid_cols.emplace_back();
 
-  // A dense scan with no predicates is a straight column copy — no
-  // selection vector, no gather. Under late materialization it is an
-  // identity row-id column instead (4 bytes per row, regardless of how many
-  // columns the parent will eventually read).
+  // A dense scan with no predicates is an identity row-id column (4 bytes
+  // per row, regardless of how many columns the parent will eventually
+  // read) — no selection vector at all.
   if (index_rows == nullptr && residual.empty()) {
     out->row_count = n;
-    if (late) {
-      out->rid_tables.push_back(table_id);
-      auto& rid = out->rid_cols.emplace_back();
-      rid.resize(n);
-      for (size_t i = 0; i < n; ++i) rid[i] = static_cast<uint32_t>(i);
-      return out;
-    }
-    for (size_t c = 0; c < required.size(); ++c) {
-      out->cols[c] = table.column(required[c].column);
-    }
+    rows.resize(n);
+    for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
     return out;
   }
 
@@ -168,8 +125,9 @@ RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
     }
   };
 
+  // The surviving selection vector *is* the result — no payload gather.
+  // Payload reads happen downstream through the row-id indirection.
   const int workers = EffectiveThreads(num_threads);
-  std::vector<uint32_t> rows;
   if (workers > 1 && n >= kMinParallelRows && num_batches > 1) {
     const auto chunks =
         common::ThreadPool::Partition(0, num_batches, 1, workers);
@@ -193,311 +151,19 @@ RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
     filter_batches(0, num_batches, &rows);
   }
   BatchesCounter()->Increment(num_batches);
-
   out->row_count = rows.size();
-  // Late materialization: the surviving selection vector *is* the result —
-  // no payload gather at all. Payload reads happen downstream through the
-  // row-id indirection (LateHashJoin / MaterializeRowSet).
-  if (late) {
-    out->rid_tables.push_back(table_id);
-    out->rid_cols.push_back(std::move(rows));
-    return out;
-  }
-  for (size_t c = 0; c < required.size(); ++c) {
-    const auto& src = table.column(required[c].column);
-    auto& dst = out->cols[c];
-    dst.resize(rows.size());
-    if (workers > 1 && rows.size() >= kMinParallelRows) {
-      common::GlobalPool().ParallelFor(
-          0, rows.size(), kMinParallelRows / 4,
-          [&](size_t b, size_t e) {
-            LPCE_PROFILE_SCOPE("exec.worker.gather");
-            common::GatherSelected(src.data(), rows.data() + b, e - b,
-                                   dst.data() + b);
-          },
-          workers);
-    } else {
-      common::GatherSelected(src.data(), rows.data(), rows.size(), dst.data());
-    }
-  }
   return out;
 }
 
-RowSetPtr BatchHashJoin(const RowSet& outer, const RowSet& inner,
-                        int outer_key, int inner_key,
-                        const std::vector<std::pair<int, int>>& residual,
-                        const std::vector<db::ColRef>& required,
-                        size_t max_rows, bool* overflow, int batch_size,
-                        int num_threads) {
-  LPCE_PROFILE_SCOPE("exec.batch_hash_join");
-  LPCE_CHECK(batch_size > 0);
-  const auto& okeys = outer.cols[outer_key];
-  const auto& ikeys = inner.cols[inner_key];
-  const size_t B = static_cast<size_t>(batch_size);
-  const int workers = EffectiveThreads(num_threads);
-  common::ThreadPool& pool = common::GlobalPool();
-  const std::vector<Source> sources = ResolveSources(outer, inner, required);
-
-  auto out = std::make_shared<RowSet>();
-  out->schema = required;
-  out->cols.resize(required.size());
-
-  // ---- Build: flattened bucket-segment table over the inner keys. ---------
-  // Counting sort by bucket: every bucket's (key, row) pairs land in one
-  // contiguous segment of flat_keys/flat_rows, written in ascending inner-row
-  // order, so a probe scans a cache-resident segment instead of chasing
-  // chain pointers and a key's matches enumerate exactly like the row path's
-  // per-key insertion-order vector. The hash only places rows into buckets —
-  // key equality is re-checked per entry — so the bucket count and hash
-  // function are invisible in the output.
-  const size_t n_inner = ikeys.size();
-  size_t nbuckets = 16;
-  while (nbuckets < 2 * n_inner) nbuckets <<= 1;
-  const uint64_t mask = nbuckets - 1;
-  std::vector<uint32_t> bucket(n_inner);
-  if (workers > 1 && n_inner >= kMinParallelRows) {
-    pool.ParallelFor(
-        0, n_inner, 4096,
-        [&](size_t b, size_t e) {
-          LPCE_PROFILE_SCOPE("exec.worker.batch_hash");
-          for (size_t r = b; r < e; ++r) {
-            bucket[r] = static_cast<uint32_t>(MixJoinKey(ikeys[r]) & mask);
-          }
-        },
-        workers);
-  } else {
-    for (size_t r = 0; r < n_inner; ++r) {
-      bucket[r] = static_cast<uint32_t>(MixJoinKey(ikeys[r]) & mask);
-    }
-  }
-  std::vector<uint32_t> off(nbuckets + 1, 0);
-  for (size_t r = 0; r < n_inner; ++r) ++off[bucket[r] + 1];
-  for (size_t b = 0; b < nbuckets; ++b) off[b + 1] += off[b];
-  std::vector<int64_t> flat_keys(n_inner);
-  std::vector<uint32_t> flat_rows(n_inner);
-  {
-    std::vector<uint32_t> cursor(off.begin(), off.end() - 1);
-    for (size_t r = 0; r < n_inner; ++r) {
-      const uint32_t p = cursor[bucket[r]]++;
-      flat_keys[p] = ikeys[r];
-      flat_rows[p] = static_cast<uint32_t>(r);
-    }
-  }
-
-  // ---- Probe: batches of outer rows. --------------------------------------
-  // Each batch collects candidate (outer row, inner row) match pairs, then
-  // refines them branch-free against the residual equi-join keys, then
-  // gathers the survivors column-at-a-time. Batch boundaries are fixed
-  // globally (batch k covers [k*B, (k+1)*B)), so chunking whole batches
-  // across workers and concatenating in chunk order reproduces the
-  // sequential output exactly.
-  const size_t n_outer = okeys.size();
-  const size_t num_batches = (n_outer + B - 1) / B;
-  std::atomic<size_t> emitted{0};
-  std::atomic<bool> over{false};
-
-  struct ChunkOut {
-    std::vector<std::vector<int64_t>> cols;
-    size_t rows = 0;
-  };
-
-  // Probe modes, all sharing the branch-free segment scan (every entry is
-  // stored/summed unconditionally, the cursor advances by the key-equality
-  // result):
-  //  - count-only (no residuals, no output columns — a root join): each
-  //    batch is a pure sum of key-equality hits, nothing materialized;
-  //  - expand (no residuals): only inner row ids are collected, plus a
-  //    per-outer-row match count; outer columns are emitted by run-length
-  //    fill (one load per outer row) and inner columns by gather;
-  //  - pairs (residual keys): full (outer, inner) candidate pairs, refined
-  //    branch-free per residual key, then gathered per side.
-  const bool count_only = residual.empty() && sources.empty();
-  const bool expand = residual.empty() && !sources.empty();
-  // Expand mode only materializes inner row ids when an inner column is
-  // actually emitted; a join whose output draws on the outer side alone gets
-  // by on the per-row match counts.
-  bool need_inner_rows = !expand;
-  for (const Source& s : sources) need_inner_rows |= !s.from_outer;
-
-  auto probe_batches = [&](size_t batch_lo, size_t batch_hi, ChunkOut* local) {
-    local->cols.resize(sources.size());
-    std::vector<uint32_t> m_outer(expand || count_only ? 0 : B), m_inner(B);
-    std::vector<uint32_t> counts(expand ? B : 0);
-    std::vector<uint32_t> buckets(B);
-    for (size_t batch = batch_lo; batch < batch_hi; ++batch) {
-      if (over.load(std::memory_order_relaxed)) return;
-      const size_t lo = batch * B;
-      const size_t hi = std::min(lo + B, n_outer);
-      // Hashing is hoisted into its own pass: the multiply/xor chains of
-      // consecutive rows pipeline back to back with no branchy segment scan
-      // between them.
-      for (size_t r = lo; r < hi; ++r) {
-        buckets[r - lo] = static_cast<uint32_t>(MixJoinKey(okeys[r]) & mask);
-      }
-      if (count_only) {
-        size_t hits = 0;
-        for (size_t r = lo; r < hi; ++r) {
-          const int64_t key = okeys[r];
-          const uint64_t b = buckets[r - lo];
-          const uint32_t seg_end = off[b + 1];
-          for (uint32_t i = off[b]; i < seg_end; ++i) {
-            hits += static_cast<size_t>(flat_keys[i] == key);
-          }
-        }
-        local->rows += hits;
-        if (max_rows > 0 && hits > 0 &&
-            emitted.fetch_add(hits, std::memory_order_relaxed) + hits >
-                max_rows) {
-          over.store(true, std::memory_order_relaxed);
-          return;
-        }
-        continue;
-      }
-      // Candidate collection. Capacity is grown ahead of each row's segment
-      // so the scan carries no bounds check.
-      size_t m = 0;
-      for (size_t r = lo; r < hi; ++r) {
-        const int64_t key = okeys[r];
-        const uint64_t b = buckets[r - lo];
-        const uint32_t seg_begin = off[b];
-        const uint32_t seg_end = off[b + 1];
-        if (need_inner_rows && m + (seg_end - seg_begin) > m_inner.size()) {
-          const size_t grown =
-              std::max(m_inner.size() * 2, m + (seg_end - seg_begin));
-          m_inner.resize(grown);
-          if (!expand) m_outer.resize(grown);
-        }
-        if (expand && !need_inner_rows) {
-          size_t hits = 0;
-          for (uint32_t i = seg_begin; i < seg_end; ++i) {
-            hits += static_cast<size_t>(flat_keys[i] == key);
-          }
-          counts[r - lo] = static_cast<uint32_t>(hits);
-          m += hits;
-        } else if (expand) {
-          const size_t before = m;
-          for (uint32_t i = seg_begin; i < seg_end; ++i) {
-            m_inner[m] = flat_rows[i];
-            m += static_cast<size_t>(flat_keys[i] == key);
-          }
-          counts[r - lo] = static_cast<uint32_t>(m - before);
-        } else {
-          for (uint32_t i = seg_begin; i < seg_end; ++i) {
-            m_outer[m] = static_cast<uint32_t>(r);
-            m_inner[m] = flat_rows[i];
-            m += static_cast<size_t>(flat_keys[i] == key);
-          }
-        }
-      }
-      for (const auto& [oc, ic] : residual) {
-        const auto& ocol = outer.cols[oc];
-        const auto& icol = inner.cols[ic];
-        size_t k = 0;
-        for (size_t j = 0; j < m; ++j) {
-          const uint32_t orow = m_outer[j];
-          const uint32_t irow = m_inner[j];
-          m_outer[k] = orow;
-          m_inner[k] = irow;
-          k += static_cast<size_t>(ocol[orow] == icol[irow]);
-        }
-        m = k;
-      }
-      for (size_t s = 0; s < sources.size(); ++s) {
-        auto& dst = local->cols[s];
-        const auto& src = sources[s].from_outer ? outer.cols[sources[s].col]
-                                                : inner.cols[sources[s].col];
-        // Appends go through insert (fill / iterator-range overloads) rather
-        // than resize + overwrite: insert writes each new element exactly
-        // once, where resize would value-initialize the tail first — a whole
-        // extra pass over every emitted column.
-        if (sources[s].from_outer && expand) {
-          // Run-length emit: each outer row's value repeats once per match,
-          // in match order — identical to gathering through explicit
-          // (outer, inner) pairs, without materializing them.
-          for (size_t r = lo; r < hi; ++r) {
-            const uint32_t cnt = counts[r - lo];
-            if (cnt > 0) dst.insert(dst.end(), cnt, src[r]);
-          }
-        } else {
-          const uint32_t* sel =
-              sources[s].from_outer ? m_outer.data() : m_inner.data();
-          dst.insert(dst.end(), common::GatherIterator(src.data(), sel, 0),
-                     common::GatherIterator(src.data(), sel, m));
-        }
-      }
-      local->rows += m;
-      // Count only rows actually emitted: residual keys can reject
-      // candidates the primary key surfaced. Same trip condition as the row
-      // paths — overflow fires iff the total would exceed max_rows.
-      if (max_rows > 0 && m > 0 &&
-          emitted.fetch_add(m, std::memory_order_relaxed) + m > max_rows) {
-        over.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  BatchesCounter()->Increment(num_batches);
-  if (workers > 1 && n_outer + n_inner >= kMinParallelRows &&
-      num_batches > 1) {
-    const auto chunks =
-        common::ThreadPool::Partition(0, num_batches, 1, workers);
-    std::vector<ChunkOut> partials(chunks.size());
-    pool.ParallelFor(
-        0, chunks.size(), 1,
-        [&](size_t c0, size_t c1) {
-          LPCE_PROFILE_SCOPE("exec.worker.batch_probe");
-          for (size_t c = c0; c < c1; ++c) {
-            probe_batches(chunks[c].first, chunks[c].second, &partials[c]);
-          }
-        },
-        workers);
-    if (over.load()) {
-      // The run is abandoned; the partial output is discarded upstream.
-      *overflow = true;
-      return out;
-    }
-    size_t total = 0;
-    for (const auto& p : partials) total += p.rows;
-    out->row_count = total;
-    pool.ParallelFor(
-        0, sources.size(), 1,
-        [&](size_t s0, size_t s1) {
-          LPCE_PROFILE_SCOPE("exec.worker.concat");
-          for (size_t s = s0; s < s1; ++s) {
-            auto& dst = out->cols[s];
-            dst.reserve(total);
-            for (const auto& p : partials) {
-              dst.insert(dst.end(), p.cols[s].begin(), p.cols[s].end());
-            }
-          }
-        },
-        workers);
-    return out;
-  }
-
-  ChunkOut all;
-  probe_batches(0, num_batches, &all);
-  if (over.load()) {
-    *overflow = true;
-    return out;
-  }
-  out->row_count = all.rows;
-  for (size_t s = 0; s < sources.size(); ++s) {
-    out->cols[s] = std::move(all.cols[s]);
-  }
-  return out;
-}
-
-// ---- Late materialization (row-id intermediates) ----------------------------
+// ---- Joins over row-id intermediates ----------------------------------------
 //
-// Under LPCE_EXEC_LATE_MAT a join's inputs and output carry base-table row-id
-// columns instead of payload columns. Every payload read — join keys at probe
-// time, residual-key values, the final materialization — goes through the
-// row-id indirection (common/selvec.h GatherGathered). The probe structure,
-// overflow contract, and order-preserving chunk-concat parallelism are shared
-// with BatchHashJoin, so the emitted row order is bit-identical to the
-// materialized paths.
+// A join's inputs and output carry base-table row-id columns instead of
+// payload columns. Every payload read — join keys at probe time, residual-key
+// values, the final materialization — goes through the row-id indirection
+// (common/selvec.h GatherGathered). Hash-join probes concatenate whole
+// batches in order at every pool size, and merge / nested-loop joins run the
+// oracle's own pair enumeration, so the emitted row order is bit-identical
+// to the row-at-a-time kernels.
 
 namespace {
 
@@ -517,8 +183,14 @@ struct LateRidSource {
   const uint32_t* rid = nullptr;
 };
 
-/// Flattened bucket-segment table over the inner side's (gathered) keys —
-/// identical layout and enumeration order to BatchHashJoin's build.
+/// Flattened bucket-segment table over the inner side's (gathered) keys,
+/// built by counting sort: every bucket's (key, row) pairs land in one
+/// contiguous segment of flat_keys/flat_rows, written in ascending inner-row
+/// order, so a probe scans a cache-resident segment instead of chasing chain
+/// pointers and a key's matches enumerate exactly like the row oracle's
+/// per-key insertion-order vector. The hash only places rows into buckets —
+/// key equality is re-checked per entry — so the bucket count and hash
+/// function are invisible in the output.
 struct LateBuildTable {
   uint64_t mask = 0;
   std::vector<uint32_t> off;
@@ -580,15 +252,27 @@ struct LateProbeArgs {
   int workers = 1;
   size_t n_cand = 0;   // candidate domain size (pre-filter for fused)
   size_t n_inner = 0;  // build-side rows (parallel threshold only)
-  bool collect = false;  // accumulate candidates (the fused scan's output)
 };
 
 /// Shared probe driver for the late join kernels. `fill(batch, cand)` writes
 /// the batch's candidate handles (rowset rows for the unfused kernel, filter-
 /// surviving base rows for the fused one) and returns how many there are;
 /// batch k always covers candidate domain [k*B, (k+1)*B), so chunking whole
-/// batches across workers concatenates back to the sequential order.
-/// Returns false on overflow.
+/// batches across workers concatenates back to the sequential order. A
+/// non-null `collected` accumulates every candidate (the fused scan's
+/// output). Returns false on overflow.
+///
+/// Probe modes, all sharing the branch-free segment scan (every entry is
+/// stored/summed unconditionally, the cursor advances by the key-equality
+/// result):
+///  - count-only (no residuals, no output row ids — a root join): each batch
+///    is a pure sum of key-equality hits, nothing materialized;
+///  - expand (no residuals): only inner rows are collected, plus a
+///    per-candidate match count; outer row ids are emitted by run-length fill
+///    and inner ones by gather (inner rows are skipped entirely when no inner
+///    row id is emitted);
+///  - pairs (residual keys): full (outer, inner) candidate pairs, refined
+///    branch-free per residual key, then gathered per side.
 template <typename FillBatch>
 bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
                     FillBatch fill, RowSet* out,
@@ -624,7 +308,7 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
     for (size_t batch = batch_lo; batch < batch_hi; ++batch) {
       if (over.load(std::memory_order_relaxed)) return;
       const size_t live = fill(batch, cand.data());
-      if (a.collect) {
+      if (collected != nullptr) {
         local->cand_rows.insert(local->cand_rows.end(), cand.data(),
                                 cand.data() + live);
       }
@@ -726,7 +410,8 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
         auto& dst = local->rids[s];
         const LateRidSource& src = a.out_rids[s];
         if (src.from_outer && expand) {
-          // Run-length emit, exactly like the batch path's outer columns.
+          // Run-length emit: each outer row id repeats once per match, in
+          // match order — identical to gathering through explicit pairs.
           for (size_t i = 0; i < live; ++i) {
             const uint32_t cnt = counts[i];
             if (cnt > 0) {
@@ -794,7 +479,7 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
           }
         },
         a.workers);
-    if (a.collect) {
+    if (collected != nullptr) {
       size_t kept = 0;
       for (const auto& p : partials) kept += p.cand_rows.size();
       collected->reserve(kept);
@@ -813,7 +498,7 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
   for (size_t s = 0; s < a.out_rids.size(); ++s) {
     out->rid_cols[s] = std::move(all.rids[s]);
   }
-  if (a.collect) *collected = std::move(all.cand_rows);
+  if (collected != nullptr) *collected = std::move(all.cand_rows);
   return true;
 }
 
@@ -947,7 +632,6 @@ RowSetPtr LateFusedScanJoin(
   args.n_cand =
       index_rows != nullptr ? index_rows->size() : outer_table.num_rows();
   args.n_inner = inner.row_count;
-  args.collect = true;
 
   // The fusion itself: each batch's surviving selection vector (base rows)
   // feeds the probe directly — no intermediate rowset between the scan's
@@ -990,6 +674,96 @@ RowSetPtr LateFusedScanJoin(
   scan->rid_cols.push_back(std::move(kept));
   *scan_out = std::move(scan);
   return out;
+}
+
+namespace {
+
+/// A side's payload column gathered through its row ids into a dense copy.
+std::vector<int64_t> GatherSideColumn(const db::Database& db,
+                                      const RowSet& side, db::ColRef ref) {
+  const LateKeyCol col = LateSideKey(db, side, ref);
+  std::vector<int64_t> out(side.row_count);
+  common::GatherSelected(col.base, col.rid, side.row_count, out.data());
+  return out;
+}
+
+/// Shared body of the late merge and nested-loop joins: gathers both sides'
+/// keys once, then lets `enumerate` (MergePairs / NestLoopPairs) drive the
+/// emission of row-id columns for every pair that also agrees on the
+/// residual keys.
+template <typename Enumerate>
+RowSetPtr LatePairJoin(const db::Database& db, const RowSet& outer,
+                       const RowSet& inner, db::ColRef outer_key,
+                       db::ColRef inner_key,
+                       const std::vector<std::pair<db::ColRef, db::ColRef>>&
+                           residual_keys,
+                       const std::vector<db::ColRef>& required,
+                       const std::vector<int32_t>& out_rid_tables,
+                       size_t max_rows, bool* overflow, Enumerate enumerate) {
+  auto out = std::make_shared<RowSet>();
+  out->schema = required;
+  out->rid_tables = out_rid_tables;
+  out->rid_cols.resize(out_rid_tables.size());
+  const std::vector<int64_t> okeys = GatherSideColumn(db, outer, outer_key);
+  const std::vector<int64_t> ikeys = GatherSideColumn(db, inner, inner_key);
+  std::vector<std::pair<std::vector<int64_t>, std::vector<int64_t>>> residual;
+  residual.reserve(residual_keys.size());
+  for (const auto& [outer_col, inner_col] : residual_keys) {
+    residual.emplace_back(GatherSideColumn(db, outer, outer_col),
+                          GatherSideColumn(db, inner, inner_col));
+  }
+  const std::vector<LateRidSource> sources =
+      ResolveRidSources(&outer, inner, -1, out_rid_tables);
+  auto emit = [&](size_t o, size_t i) {
+    for (const auto& [ocol, icol] : residual) {
+      if (ocol[o] != icol[i]) return;
+    }
+    for (size_t s = 0; s < sources.size(); ++s) {
+      out->rid_cols[s].push_back(sources[s].rid[sources[s].from_outer ? o : i]);
+    }
+    ++out->row_count;
+  };
+  auto over_limit = [&] {
+    if (max_rows > 0 && out->row_count > max_rows) {
+      *overflow = true;
+      return true;
+    }
+    return false;
+  };
+  enumerate(okeys, ikeys, emit, over_limit);
+  return out;
+}
+
+}  // namespace
+
+RowSetPtr LateNestLoopJoin(const db::Database& db, const RowSet& outer,
+                           const RowSet& inner, db::ColRef outer_key,
+                           db::ColRef inner_key,
+                           const std::vector<std::pair<db::ColRef, db::ColRef>>&
+                               residual_keys,
+                           const std::vector<db::ColRef>& required,
+                           const std::vector<int32_t>& out_rid_tables,
+                           size_t max_rows, bool* overflow) {
+  LPCE_PROFILE_SCOPE("exec.late_nestloop_join");
+  return LatePairJoin(db, outer, inner, outer_key, inner_key, residual_keys,
+                      required, out_rid_tables, max_rows, overflow,
+                      [](const auto& okeys, const auto& ikeys, auto emit,
+                         auto stop) { NestLoopPairs(okeys, ikeys, emit, stop); });
+}
+
+RowSetPtr LateMergeJoin(const db::Database& db, const RowSet& outer,
+                        const RowSet& inner, db::ColRef outer_key,
+                        db::ColRef inner_key,
+                        const std::vector<std::pair<db::ColRef, db::ColRef>>&
+                            residual_keys,
+                        const std::vector<db::ColRef>& required,
+                        const std::vector<int32_t>& out_rid_tables,
+                        size_t max_rows, bool* overflow) {
+  LPCE_PROFILE_SCOPE("exec.late_merge_join");
+  return LatePairJoin(db, outer, inner, outer_key, inner_key, residual_keys,
+                      required, out_rid_tables, max_rows, overflow,
+                      [](const auto& okeys, const auto& ikeys, auto emit,
+                         auto stop) { MergePairs(okeys, ikeys, emit, stop); });
 }
 
 RowSetPtr MaterializeRowSet(const db::Database& db, RowSetPtr rs,

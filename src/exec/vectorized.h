@@ -1,17 +1,20 @@
-// Vectorized (batch-at-a-time) operator kernels — the LPCE_EXEC_BATCH fast
-// path of the executor.
+// Vectorized (batch-at-a-time) operator kernels over row-id intermediates —
+// the executor's production path.
 //
-// Each kernel streams its input in fixed-size column-oriented batches
-// (default 1024 rows): scans drive every filter predicate through a
-// branch-free selection vector (common/selvec.h), and the hash join builds a
-// flat open-addressing chain table probed batch-at-a-time. Outputs are the
-// same fully-materialized RowSets the row-at-a-time kernels produce, in
-// bit-identical row order at every batch size and thread-pool size — the
-// row path stays available as the differential oracle (see DESIGN.md
-// "Vectorized execution" for the determinism argument).
+// Every intermediate carries base-table row-id columns instead of payload
+// columns (exec/rowset.h); payload values are gathered through the row ids
+// at first use. Scans stream their input in fixed-size batches (default 1024
+// rows) through branch-free selection vectors (common/selvec.h); the hash
+// join builds a flat bucket-segment table probed batch-at-a-time, and a hash
+// join over a leaf scan fuses the scan's filter into its first probe. Merge
+// and nested-loop joins gather their keys through the row ids and enumerate
+// match pairs exactly like the row-at-a-time kernels. Every kernel emits the
+// row-at-a-time oracle's rows in bit-identical order at every batch and
+// thread-pool size (see DESIGN.md "Vectorized execution").
 #ifndef LPCE_EXEC_VECTORIZED_H_
 #define LPCE_EXEC_VECTORIZED_H_
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -22,73 +25,32 @@
 
 namespace lpce::exec {
 
-/// Rows per batch when LPCE_EXEC_BATCH enables the path without naming a
-/// size: large enough to amortize per-batch dispatch, small enough that one
-/// batch's selection vector and gathered columns stay cache-resident.
+/// Rows per batch when the caller does not name a size: large enough to
+/// amortize per-batch dispatch, small enough that one batch's selection
+/// vector and gathered keys stay cache-resident.
 inline constexpr int kDefaultBatchSize = 1024;
-
-/// Resolves the LPCE_EXEC_BATCH environment knob to an executor batch size:
-/// unset/"0"/invalid = 0 (row-at-a-time path), "1" = kDefaultBatchSize,
-/// N >= 2 = N rows per batch. Parsed on every call (once per query), so
-/// tests may flip the knob at runtime.
-int BatchSizeFromEnv();
-
-/// Resolves the LPCE_EXEC_LATE_MAT environment knob: "1" enables late
-/// materialization (row-id intermediates, see DESIGN.md "Pipelined execution
-/// & late materialization"), anything else disables it. Parsed on every call
-/// (once per query), so tests may flip the knob at runtime.
-bool LateMatFromEnv();
-
-/// splitmix64 finalizer — spreads join keys across hash buckets / build
-/// partitions even when they are small consecutive integers. Shared by the
-/// row path's partitioned build and the batch path's chain table.
-inline uint64_t MixJoinKey(int64_t key) {
-  uint64_t x = static_cast<uint64_t>(key);
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// Batch scan: drives the table (or, for index scans, the row list the
 /// driving index produced) through `residual` predicates batch-at-a-time
-/// with selection vectors, then gathers `required` into the output.
-/// `index_rows == nullptr` scans the whole table in storage order.
-/// Bit-identical to the row-at-a-time scan path.
-///
-/// With `late` set the payload gather is skipped entirely: the surviving
-/// selection vector becomes the output's single row-id column (the fusion
-/// boundary — downstream probes read keys through it) and `required` is
-/// recorded in the schema unmaterialized.
+/// with selection vectors. The surviving selection vector becomes the
+/// output's single row-id column; `required` is recorded in the schema
+/// unmaterialized. `index_rows == nullptr` scans the whole table in storage
+/// order. Same rows, same order as the row-at-a-time scan.
 RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
                     const std::vector<uint32_t>* index_rows,
                     const std::vector<qry::Predicate>& residual,
                     const std::vector<db::ColRef>& required, int batch_size,
-                    int num_threads, bool late = false);
+                    int num_threads);
 
-/// Batch hash join: flat chain-table build over the inner keys (per-key
-/// match lists traverse in ascending inner-row order, matching the row
-/// path's insertion order), then a batched probe of the outer side with
-/// branch-free residual-key refinement of the candidate matches.
-/// `residual` pairs resolved column indexes (outer, inner) of the extra
-/// equi-join predicates. Sets *overflow and returns an empty result when
-/// more than `max_rows` rows would be emitted (0 = unlimited).
-RowSetPtr BatchHashJoin(const RowSet& outer, const RowSet& inner,
-                        int outer_key, int inner_key,
-                        const std::vector<std::pair<int, int>>& residual,
-                        const std::vector<db::ColRef>& required,
-                        size_t max_rows, bool* overflow, int batch_size,
-                        int num_threads);
-
-/// Late-materialization hash join: both sides carry row-id columns
-/// (RowSet::late()); join keys and residual-key values are gathered through
-/// the row-id indirection at probe time (common/selvec.h GatherGathered) and
-/// the output carries one row-id column per table in `out_rid_tables` —
-/// no payload column is ever materialized. `required` is recorded in the
-/// output schema unmaterialized. Same probe modes, overflow contract, and
-/// order-preserving chunk-concat parallelism as BatchHashJoin: the emitted
-/// row order is bit-identical to the materialized paths at every batch and
-/// pool size.
+/// Late hash join: both sides carry row-id columns; join keys and residual-
+/// key values are gathered through the row-id indirection at probe time
+/// (common/selvec.h GatherGathered) and the output carries one row-id column
+/// per table in `out_rid_tables` — no payload column is ever materialized.
+/// `required` is recorded in the output schema unmaterialized. Per-key match
+/// lists enumerate in ascending inner-row order and probe batches are
+/// concatenated in order, so the emitted rows are bit-identical to the row
+/// oracle's at every batch and pool size. Sets *overflow when more than
+/// `max_rows` rows would be emitted (0 = unlimited).
 RowSetPtr LateHashJoin(const db::Database& db, const RowSet& outer,
                        const RowSet& inner, db::ColRef outer_key,
                        db::ColRef inner_key,
@@ -106,7 +68,7 @@ RowSetPtr LateHashJoin(const db::Database& db, const RowSet& outer,
 /// row-id output is still accumulated as a by-product into *scan_out (the
 /// executor needs it for actual-cardinality bookkeeping, checkpoints, and
 /// re-planning), so results, traces, and the finished-node map stay
-/// bit-identical to the unfused lanes. `inner` must be late.
+/// bit-identical to the unfused kernels.
 RowSetPtr LateFusedScanJoin(
     const db::Database& db, const db::Table& outer_table,
     int32_t outer_table_id, const std::vector<uint32_t>* index_rows,
@@ -118,14 +80,90 @@ RowSetPtr LateFusedScanJoin(
     const std::vector<int32_t>& out_rid_tables, size_t max_rows,
     bool* overflow, int batch_size, int num_threads);
 
+/// Late nested-loop and merge joins: keys and residual keys are gathered
+/// through both sides' row ids, then the match pairs are enumerated by
+/// NestLoopPairs / MergePairs — the row oracle's own enumeration — and
+/// emitted as row-id columns for `out_rid_tables`. Same overflow contract
+/// as LateHashJoin.
+RowSetPtr LateNestLoopJoin(const db::Database& db, const RowSet& outer,
+                           const RowSet& inner, db::ColRef outer_key,
+                           db::ColRef inner_key,
+                           const std::vector<std::pair<db::ColRef, db::ColRef>>&
+                               residual_keys,
+                           const std::vector<db::ColRef>& required,
+                           const std::vector<int32_t>& out_rid_tables,
+                           size_t max_rows, bool* overflow);
+RowSetPtr LateMergeJoin(const db::Database& db, const RowSet& outer,
+                        const RowSet& inner, db::ColRef outer_key,
+                        db::ColRef inner_key,
+                        const std::vector<std::pair<db::ColRef, db::ColRef>>&
+                            residual_keys,
+                        const std::vector<db::ColRef>& required,
+                        const std::vector<int32_t>& out_rid_tables,
+                        size_t max_rows, bool* overflow);
+
+/// Nested-loop pair enumeration shared by the row oracle and the late
+/// kernel: for every outer row in order, every inner row with an equal key
+/// in inner order — deliberately O(n·m) comparisons, so a mistaken nested
+/// loop on a large outer stays slow (the paper's running example).
+/// `emit(outer_row, inner_row)` receives each key match; `stop()` is polled
+/// after every outer row and ends the enumeration when it returns true.
+template <typename Emit, typename Stop>
+void NestLoopPairs(const std::vector<int64_t>& okeys,
+                   const std::vector<int64_t>& ikeys, Emit emit, Stop stop) {
+  for (size_t r = 0; r < okeys.size(); ++r) {
+    const int64_t key = okeys[r];
+    for (size_t ir = 0; ir < ikeys.size(); ++ir) {
+      if (ikeys[ir] == key) emit(r, ir);
+    }
+    if (stop()) return;
+  }
+}
+
+/// Merge-join pair enumeration shared by the row oracle and the late kernel:
+/// std::sort permutations of both key columns, then the cross product of
+/// every equal-key group. std::sort is not stable, so bit-identical output
+/// rests on both callers sorting the same identity permutations over the
+/// same key values. `stop()` is polled after every outer row of a group.
+template <typename Emit, typename Stop>
+void MergePairs(const std::vector<int64_t>& okeys,
+                const std::vector<int64_t>& ikeys, Emit emit, Stop stop) {
+  std::vector<uint32_t> operm(okeys.size()), iperm(ikeys.size());
+  for (size_t i = 0; i < operm.size(); ++i) operm[i] = static_cast<uint32_t>(i);
+  for (size_t i = 0; i < iperm.size(); ++i) iperm[i] = static_cast<uint32_t>(i);
+  std::sort(operm.begin(), operm.end(),
+            [&](uint32_t a, uint32_t b) { return okeys[a] < okeys[b]; });
+  std::sort(iperm.begin(), iperm.end(),
+            [&](uint32_t a, uint32_t b) { return ikeys[a] < ikeys[b]; });
+  size_t oi = 0, ii = 0;
+  while (oi < operm.size() && ii < iperm.size()) {
+    const int64_t ov = okeys[operm[oi]];
+    const int64_t iv = ikeys[iperm[ii]];
+    if (ov < iv) {
+      ++oi;
+    } else if (ov > iv) {
+      ++ii;
+    } else {
+      size_t oe = oi;
+      while (oe < operm.size() && okeys[operm[oe]] == ov) ++oe;
+      size_t ie = ii;
+      while (ie < iperm.size() && ikeys[iperm[ie]] == iv) ++ie;
+      for (size_t a = oi; a < oe; ++a) {
+        for (size_t b = ii; b < ie; ++b) emit(operm[a], iperm[b]);
+        if (stop()) return;
+      }
+      oi = oe;
+      ii = ie;
+    }
+  }
+}
+
 /// Gathers a late rowset's payload columns from the base tables (dst[r] =
 /// table.column(schema[c])[rid[r]]), producing the fully-materialized rowset
-/// the row/batch oracles would have built — identical schema, row order, and
-/// values. Returns `rs` unchanged when it is already materialized. This is
-/// the forced materialization point: the executor calls it when a late
-/// intermediate feeds an operator that needs values (a pseudo scan in a
-/// non-late round), and the differential tests call it to compare late
-/// intermediates bit-for-bit against the oracles.
+/// the row oracle builds — identical schema, row order, and values. Returns
+/// `rs` unchanged when it is already materialized. The differential tests
+/// and benches call it to compare late intermediates bit-for-bit against the
+/// oracle.
 RowSetPtr MaterializeRowSet(const db::Database& db, RowSetPtr rs,
                             int num_threads = 0);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "card/histogram_estimator.h"
+#include "common/thread_pool.h"
 #include "engine/engine.h"
 #include "lpce/estimators.h"
 #include "workload/workload.h"
@@ -73,6 +74,94 @@ TEST_F(EngineTest, ReoptPreservesResultCorrectness) {
   }
   // The gross underestimates must have tripped at least one checkpoint.
   EXPECT_GT(total_reopts, 0);
+}
+
+TEST_F(EngineTest, ReoptOverLatePseudoScansMatchesRowOracle) {
+  // Re-optimization rounds on the vectorized path: the finished subtrees of
+  // a tripped round carry row ids into the next round's pseudo scans, and
+  // the underestimates keep luring the re-planner into merge / nested-loop
+  // joins over them. Every query's result, deterministic trace,
+  // and re-optimization count must match the row-at-a-time oracle at every
+  // batch and pool size.
+  card::HistogramEstimator histogram(&stats_);
+  UnderEstimator under(&histogram);
+  Engine engine(database_.get(), opt::CostModel{});
+  auto run_all = [&](int batch, int pool) {
+    common::SetGlobalPoolSize(pool);
+    RunConfig config;
+    config.enable_reopt = true;
+    config.qerror_threshold = 10.0;
+    config.exec_batch_size = batch;
+    std::vector<RunStats> out;
+    for (const auto& labeled : workload_) {
+      out.push_back(engine.RunQuery(labeled.query, &under, nullptr, config));
+    }
+    return out;
+  };
+  const std::vector<RunStats> oracle = run_all(/*batch=*/0, /*pool=*/1);
+
+  // The workload must actually exercise the widened coverage: some round
+  // after the first runs a merge or nested-loop join fed by a pseudo scan.
+  bool saw_late_pseudo_under_pair_join = false;
+  for (const RunStats& stats : oracle) {
+    const auto& spans = stats.trace->spans();
+    for (const auto& span : spans) {
+      const bool pair_join =
+          span.op == "MergeJoin" || span.op == "NestLoopJoin";
+      if (span.round == 0 || !pair_join) continue;
+      for (int child : {span.outer_span, span.inner_span}) {
+        saw_late_pseudo_under_pair_join |=
+            child >= 0 && spans[child].op == "PseudoScan";
+      }
+    }
+  }
+  EXPECT_TRUE(saw_late_pseudo_under_pair_join);
+
+  for (int batch : {1, 3, 1024}) {
+    for (int pool : {1, 2, 4}) {
+      SCOPED_TRACE("batch=" + std::to_string(batch) +
+                   " pool=" + std::to_string(pool));
+      const std::vector<RunStats> got = run_all(batch, pool);
+      ASSERT_EQ(got.size(), oracle.size());
+      for (size_t q = 0; q < got.size(); ++q) {
+        EXPECT_EQ(got[q].result_count, workload_[q].FinalCard()) << q;
+        EXPECT_EQ(got[q].num_reopts, oracle[q].num_reopts) << q;
+        EXPECT_EQ(got[q].trace->ToJson(TraceJsonMode::kDeterministic),
+                  oracle[q].trace->ToJson(TraceJsonMode::kDeterministic))
+            << "query " << q;
+        EXPECT_LE(got[q].peak_intermediate_bytes,
+                  oracle[q].peak_intermediate_bytes)
+            << q;
+      }
+    }
+  }
+  common::SetGlobalPoolSize(0);
+}
+
+TEST_F(EngineTest, DefaultRunConfigRunsVectorizedPath) {
+  // A default RunConfig runs the vectorized executor: its peak intermediate
+  // bytes equal an explicit vectorized run's (row-id width) and come in
+  // below the row oracle's (int64 payload width).
+  card::HistogramEstimator estimator(&stats_);
+  Engine engine(database_.get(), opt::CostModel{});
+  RunConfig vectorized;
+  vectorized.exec_batch_size = 1024;
+  RunConfig row;
+  row.exec_batch_size = 0;
+  size_t default_total = 0, row_total = 0;
+  for (const auto& labeled : workload_) {
+    const RunStats by_default =
+        engine.RunQuery(labeled.query, &estimator, nullptr, RunConfig{});
+    const RunStats explicit_vec =
+        engine.RunQuery(labeled.query, &estimator, nullptr, vectorized);
+    const RunStats oracle = engine.RunQuery(labeled.query, &estimator, nullptr, row);
+    EXPECT_EQ(by_default.result_count, oracle.result_count);
+    EXPECT_EQ(by_default.peak_intermediate_bytes,
+              explicit_vec.peak_intermediate_bytes);
+    default_total += by_default.peak_intermediate_bytes;
+    row_total += oracle.peak_intermediate_bytes;
+  }
+  EXPECT_LT(default_total, row_total);
 }
 
 TEST_F(EngineTest, ReoptBudgetIsRespected) {

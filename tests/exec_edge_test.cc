@@ -1,9 +1,9 @@
 // Executor edge cases: empty inputs, all-filtered scans, duplicate-heavy
-// merge joins, row-limit aborts, peak-memory accounting, and the vectorized
+// merge joins, row-limit aborts, peak-memory accounting, the vectorized
 // path's selection-vector corners (empty batches, all-rows-pass filters,
 // single-row tail batches, batch boundaries straddling join partition
-// chunks, and the LPCE_EXEC_BATCH knob).
-#include <cstdlib>
+// chunks), its merge / nested-loop kernels over row-id intermediates, and
+// plans mixing all three join algorithms.
 #include <functional>
 #include <limits>
 #include <utility>
@@ -49,10 +49,10 @@ class ExecEdgeTest : public ::testing::Test {
     return node;
   }
 
-  /// Runs `make_plan()` row-at-a-time (the oracle) and at every requested
-  /// (batch size x pool size) — with late materialization both off and on —
-  /// requiring every finished node's rowset to be bit-identical to the
-  /// oracle's (late rowsets are gathered through their row ids first).
+  /// Runs `make_plan()` row-at-a-time (the oracle) and vectorized at every
+  /// requested (batch size x pool size), requiring every finished node's
+  /// rowset to be bit-identical to the oracle's (row-id intermediates are
+  /// gathered through their row ids first).
   void ExpectBatchMatchesRow(
       const std::function<std::unique_ptr<PlanNode>()>& make_plan,
       std::initializer_list<int> batches,
@@ -61,13 +61,12 @@ class ExecEdgeTest : public ::testing::Test {
       std::vector<RowSetPtr> rowsets;  // post-order
       std::vector<uint64_t> actuals;
     };
-    auto run = [&](int batch, int pool, int late) {
+    auto run = [&](int batch, int pool) {
       common::SetGlobalPoolSize(pool);
       auto plan = make_plan();
       Executor executor(&database_, &query_);
       Executor::Options options;
       options.batch_size = batch;
-      options.late_materialization = late;
       Executor::RunResult result = executor.Run(plan.get(), options);
       common::SetGlobalPoolSize(0);
       Outcome out;
@@ -82,26 +81,23 @@ class ExecEdgeTest : public ::testing::Test {
       }
       return out;
     };
-    const Outcome oracle = run(/*batch=*/0, /*pool=*/1, /*late=*/0);
+    const Outcome oracle = run(/*batch=*/0, /*pool=*/1);
     for (int batch : batches) {
       for (int pool : pools) {
-        for (int late : {0, 1}) {
-          SCOPED_TRACE("batch=" + std::to_string(batch) +
-                       " pool=" + std::to_string(pool) +
-                       " late=" + std::to_string(late));
-          const Outcome got = run(batch, pool, late);
-          ASSERT_EQ(got.rowsets.size(), oracle.rowsets.size());
-          for (size_t i = 0; i < oracle.rowsets.size(); ++i) {
-            EXPECT_EQ(got.actuals[i], oracle.actuals[i]) << "node " << i;
-            ASSERT_NE(got.rowsets[i], nullptr) << "node " << i;
-            ASSERT_NE(oracle.rowsets[i], nullptr) << "node " << i;
-            EXPECT_TRUE(got.rowsets[i]->schema == oracle.rowsets[i]->schema)
-                << "node " << i;
-            EXPECT_EQ(got.rowsets[i]->row_count, oracle.rowsets[i]->row_count)
-                << "node " << i;
-            EXPECT_TRUE(got.rowsets[i]->cols == oracle.rowsets[i]->cols)
-                << "node " << i;
-          }
+        SCOPED_TRACE("batch=" + std::to_string(batch) +
+                     " pool=" + std::to_string(pool));
+        const Outcome got = run(batch, pool);
+        ASSERT_EQ(got.rowsets.size(), oracle.rowsets.size());
+        for (size_t i = 0; i < oracle.rowsets.size(); ++i) {
+          EXPECT_EQ(got.actuals[i], oracle.actuals[i]) << "node " << i;
+          ASSERT_NE(got.rowsets[i], nullptr) << "node " << i;
+          ASSERT_NE(oracle.rowsets[i], nullptr) << "node " << i;
+          EXPECT_TRUE(got.rowsets[i]->schema == oracle.rowsets[i]->schema)
+              << "node " << i;
+          EXPECT_EQ(got.rowsets[i]->row_count, oracle.rowsets[i]->row_count)
+              << "node " << i;
+          EXPECT_TRUE(got.rowsets[i]->cols == oracle.rowsets[i]->cols)
+              << "node " << i;
         }
       }
     }
@@ -201,8 +197,8 @@ TEST_F(ExecEdgeTest, PeakIntermediateBytesSumsLiveResults) {
   // ever released mid-run, making the peak exactly the sum of the finished
   // results. The old largest-single-rowset accounting under-reported this as
   // one scan. Computing the expectation from the retained rowsets themselves
-  // keeps the assertion valid in every representation (row / batch /
-  // LPCE_EXEC_LATE_MAT row-id intermediates).
+  // keeps the assertion valid in both representations (row-oracle payload
+  // columns / vectorized row-id intermediates).
   size_t finished_sum = 0;
   for (const auto& [node, rs] : run.finished) finished_sum += rs->ByteSize();
   EXPECT_EQ(executor.peak_intermediate_bytes(), finished_sum);
@@ -213,10 +209,10 @@ TEST_F(ExecEdgeTest, PeakIntermediateBytesSumsLiveResults) {
 
 TEST_F(ExecEdgeTest, PeakBytesAccountingAgreesAcrossPathsOn3JoinQuery) {
   // Regression for the peak_intermediate_bytes contract on a known 3-join
-  // query: the row and batch paths retain bit-identical materialized
-  // intermediates, so their peaks must agree exactly; the late path counts
-  // its row-id columns the same way (sum of retained rowsets) and must come
-  // in strictly lower — uint32 row ids versus int64 payload columns.
+  // query: both paths count the sum of their retained rowsets, and the
+  // vectorized path's row-id intermediates must come in strictly lower than
+  // the row oracle's payload columns — uint32 row ids versus int64 payloads
+  // — at every batch size.
   db::Database db;
   std::vector<int32_t> tables;
   for (int t = 0; t < 4; ++t) {
@@ -258,12 +254,11 @@ TEST_F(ExecEdgeTest, PeakBytesAccountingAgreesAcrossPathsOn3JoinQuery) {
     return plan;
   };
 
-  auto run_peak = [&](int batch, int late, uint64_t* rows) {
+  auto run_peak = [&](int batch, uint64_t* rows) {
     auto plan = make_plan();
     Executor executor(&db, &query);
     Executor::Options options;
     options.batch_size = batch;
-    options.late_materialization = late;
     Executor::RunResult run = executor.Run(plan.get(), options);
     EXPECT_NE(run.result, nullptr);
     *rows = run.result != nullptr ? run.result->num_rows() : 0;
@@ -273,15 +268,20 @@ TEST_F(ExecEdgeTest, PeakBytesAccountingAgreesAcrossPathsOn3JoinQuery) {
     return executor.peak_intermediate_bytes();
   };
 
-  uint64_t row_rows = 0, batch_rows = 0, late_rows = 0;
-  const size_t row_peak = run_peak(/*batch=*/0, /*late=*/0, &row_rows);
-  const size_t batch_peak = run_peak(/*batch=*/1024, /*late=*/0, &batch_rows);
-  const size_t late_peak = run_peak(/*batch=*/1024, /*late=*/1, &late_rows);
-  EXPECT_EQ(row_rows, batch_rows);
-  EXPECT_EQ(row_rows, late_rows);
-  EXPECT_EQ(row_peak, batch_peak);
-  EXPECT_LT(late_peak, row_peak);
-  EXPECT_GT(late_peak, 0u);
+  uint64_t row_rows = 0;
+  const size_t row_peak = run_peak(/*batch=*/0, &row_rows);
+  size_t vec_peak = 0;
+  for (int batch : {3, 1024}) {
+    uint64_t vec_rows = 0;
+    const size_t peak = run_peak(batch, &vec_rows);
+    EXPECT_EQ(vec_rows, row_rows) << "batch=" << batch;
+    if (vec_peak != 0) {
+      EXPECT_EQ(peak, vec_peak) << "batch=" << batch;
+    }
+    vec_peak = peak;
+  }
+  EXPECT_LT(vec_peak, row_peak);
+  EXPECT_GT(vec_peak, 0u);
 }
 
 TEST_F(ExecEdgeTest, IndexScanLtAtInt64MinIsEmptyNotUB) {
@@ -445,131 +445,197 @@ TEST_F(ExecEdgeTest, BatchIndexScanNeResidualBitIdentical) {
 }
 
 TEST_F(ExecEdgeTest, BatchRowLimitAbortsLikeRowPath) {
-  // The overflow contract is part of bit-identity: the batch path must trip
-  // the row limit on exactly the same plans as the row path, at every batch
-  // and pool size.
+  // The overflow contract is part of bit-identity: every vectorized join
+  // kernel must trip the row limit on exactly the same plans as the row
+  // oracle, at every batch and pool size.
   for (int i = 0; i < 100; ++i) {
     database_.table(a_).AppendRow({5, i});
     database_.table(b_).AppendRow({5, i});
   }
   database_.BuildAllIndexes();
-  for (int batch : {1, 3, 1024}) {
-    for (int pool : {1, 4}) {
-      common::SetGlobalPoolSize(pool);
-      auto plan = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
-      Executor executor(&database_, &query_);
-      Executor::Options options;
-      options.batch_size = batch;
-      options.max_node_rows = 1000;
-      Executor::RunResult run = executor.Run(plan.get(), options);
-      EXPECT_TRUE(run.aborted) << "batch=" << batch << " pool=" << pool;
-      EXPECT_EQ(run.result, nullptr) << "batch=" << batch << " pool=" << pool;
-      // Just below the limit: must NOT abort (the trip condition is
-      // strictly-greater, same as the row kernels).
-      auto plan_ok = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
-      options.max_node_rows = 10000;
-      Executor::RunResult ok = executor.Run(plan_ok.get(), options);
-      EXPECT_FALSE(ok.aborted) << "batch=" << batch << " pool=" << pool;
-      ASSERT_NE(ok.result, nullptr);
-      EXPECT_EQ(ok.result->num_rows(), 10000u);
+  for (auto op : {PhysOp::kHashJoin, PhysOp::kMergeJoin, PhysOp::kNestLoopJoin}) {
+    for (int batch : {0, 1, 3, 1024}) {
+      for (int pool : {1, 2, 4}) {
+        SCOPED_TRACE(std::string(PhysOpName(op)) +
+                     " batch=" + std::to_string(batch) +
+                     " pool=" + std::to_string(pool));
+        common::SetGlobalPoolSize(pool);
+        auto plan = Join(op, Scan(0), Scan(1));
+        Executor executor(&database_, &query_);
+        Executor::Options options;
+        options.batch_size = batch;
+        options.max_node_rows = 1000;
+        Executor::RunResult run = executor.Run(plan.get(), options);
+        EXPECT_TRUE(run.aborted);
+        EXPECT_EQ(run.result, nullptr);
+        // At the limit: must NOT abort (the trip condition is
+        // strictly-greater in every kernel).
+        auto plan_ok = Join(op, Scan(0), Scan(1));
+        options.max_node_rows = 10000;
+        Executor::RunResult ok = executor.Run(plan_ok.get(), options);
+        EXPECT_FALSE(ok.aborted);
+        ASSERT_NE(ok.result, nullptr);
+        EXPECT_EQ(ok.result->num_rows(), 10000u);
+      }
     }
   }
   common::SetGlobalPoolSize(0);
 }
 
-TEST_F(ExecEdgeTest, BatchSizeEnvKnobParses) {
-  // unset/"0"/garbage/negative = off; "1" = default size; N >= 2 literal,
-  // clamped at 1M rows.
-  unsetenv("LPCE_EXEC_BATCH");
-  EXPECT_EQ(BatchSizeFromEnv(), 0);
-  setenv("LPCE_EXEC_BATCH", "", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 0);
-  setenv("LPCE_EXEC_BATCH", "0", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 0);
-  setenv("LPCE_EXEC_BATCH", "bogus", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 0);
-  setenv("LPCE_EXEC_BATCH", "3x", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 0);
-  setenv("LPCE_EXEC_BATCH", "-4", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 0);
-  setenv("LPCE_EXEC_BATCH", "1", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), kDefaultBatchSize);
-  setenv("LPCE_EXEC_BATCH", "3", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 3);
-  setenv("LPCE_EXEC_BATCH", "999999999", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 1 << 20);
-  unsetenv("LPCE_EXEC_BATCH");
-}
-
-TEST_F(ExecEdgeTest, BatchSizeEnvKnobDrivesExecution) {
-  // Options::batch_size = -1 (the default) must defer to the env knob, and
-  // an explicit 0 must override it back to the row path.
-  for (int64_t i = 0; i < 10; ++i) {
-    database_.table(a_).AppendRow({i, i});
-    database_.table(b_).AppendRow({i, i});
+TEST_F(ExecEdgeTest, DefaultOptionsRunVectorizedPath) {
+  // A default-constructed Options runs the vectorized path: intermediates
+  // are row-id columns, so peak_intermediate_bytes counts 4 bytes per scanned
+  // row; batch_size = 0 runs the row oracle, whose scans carry their int64
+  // key columns. The root (nothing left to reference) carries no column in
+  // either representation.
+  for (int i = 0; i < 50; ++i) {
+    database_.table(a_).AppendRow({i % 5, i});
+    database_.table(b_).AppendRow({i % 5, i});
   }
   database_.BuildAllIndexes();
-  setenv("LPCE_EXEC_BATCH", "3", 1);
-  auto plan = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
+  auto plan = Join(PhysOp::kNestLoopJoin, Scan(0), Scan(1));
   Executor executor(&database_, &query_);
-  EXPECT_EQ(executor.Execute(plan.get())->num_rows(), 10u);
-  auto plan_row = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
-  Executor::Options options;
-  options.batch_size = 0;
-  Executor::RunResult row_run = executor.Run(plan_row.get(), options);
-  unsetenv("LPCE_EXEC_BATCH");
+  Executor::RunResult run = executor.Run(plan.get(), Executor::Options{});
+  ASSERT_NE(run.result, nullptr);
+  EXPECT_EQ(run.result->num_rows(), 500u);
+  EXPECT_TRUE(run.finished.at(plan->outer.get())->late());
+  EXPECT_TRUE(run.finished.at(plan->inner.get())->late());
+  EXPECT_EQ(executor.peak_intermediate_bytes(), 2 * 50 * sizeof(uint32_t));
+
+  auto row_plan = Join(PhysOp::kNestLoopJoin, Scan(0), Scan(1));
+  Executor::Options row_options;
+  row_options.batch_size = 0;
+  Executor::RunResult row_run = executor.Run(row_plan.get(), row_options);
   ASSERT_NE(row_run.result, nullptr);
-  EXPECT_EQ(row_run.result->num_rows(), 10u);
+  EXPECT_EQ(row_run.result->num_rows(), 500u);
+  EXPECT_FALSE(row_run.finished.at(row_plan->outer.get())->late());
+  EXPECT_EQ(executor.peak_intermediate_bytes(), 2 * 50 * sizeof(int64_t));
 }
 
-TEST_F(ExecEdgeTest, LateMatEnvKnobParses) {
-  // unset/""/"0"/garbage/negative = off; any positive integer = on.
-  unsetenv("LPCE_EXEC_LATE_MAT");
-  EXPECT_FALSE(LateMatFromEnv());
-  setenv("LPCE_EXEC_LATE_MAT", "", 1);
-  EXPECT_FALSE(LateMatFromEnv());
-  setenv("LPCE_EXEC_LATE_MAT", "0", 1);
-  EXPECT_FALSE(LateMatFromEnv());
-  setenv("LPCE_EXEC_LATE_MAT", "bogus", 1);
-  EXPECT_FALSE(LateMatFromEnv());
-  setenv("LPCE_EXEC_LATE_MAT", "1x", 1);
-  EXPECT_FALSE(LateMatFromEnv());
-  setenv("LPCE_EXEC_LATE_MAT", "-1", 1);
-  EXPECT_FALSE(LateMatFromEnv());
-  setenv("LPCE_EXEC_LATE_MAT", "1", 1);
-  EXPECT_TRUE(LateMatFromEnv());
-  setenv("LPCE_EXEC_LATE_MAT", "2", 1);
-  EXPECT_TRUE(LateMatFromEnv());
-  unsetenv("LPCE_EXEC_LATE_MAT");
-}
-
-TEST_F(ExecEdgeTest, LateMatEnvKnobDrivesExecution) {
-  // Options::late_materialization = -1 (the default) must defer to the env
-  // knob — including promoting a row-path batch size to the default batch —
-  // and an explicit 0 must override the knob back off. Either way the
-  // result count matches.
-  for (int64_t i = 0; i < 10; ++i) {
-    database_.table(a_).AppendRow({i, i});
-    database_.table(b_).AppendRow({i, i});
+TEST_F(ExecEdgeTest, LateMergeAndNestLoopDuplicateAndResidualKeysBitIdentical) {
+  // Duplicate-heavy keys on both sides plus a residual equi-join key (a
+  // multigraph cut): the late merge and nested-loop kernels gather both
+  // keys through the row ids and must emit the oracle's pairs in the
+  // oracle's order — merge join's unstable std::sort permutations included.
+  query_.joins.push_back({{a_, 1}, {b_, 1}});
+  for (int64_t i = 0; i < 300; ++i) {
+    database_.table(a_).AppendRow({i % 7, i % 3});
+    database_.table(b_).AppendRow({(i * 5) % 11, i % 2});
   }
   database_.BuildAllIndexes();
-  setenv("LPCE_EXEC_LATE_MAT", "1", 1);
-  auto plan = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
-  Executor executor(&database_, &query_);
-  Executor::Options options;
-  options.batch_size = 0;  // late promotes this to kDefaultBatchSize
-  Executor::RunResult late_run = executor.Run(plan.get(), options);
-  ASSERT_NE(late_run.result, nullptr);
-  EXPECT_EQ(late_run.result->num_rows(), 10u);
-  auto plan_off = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
-  options.late_materialization = 0;
-  Executor::RunResult off_run = executor.Run(plan_off.get(), options);
-  unsetenv("LPCE_EXEC_LATE_MAT");
-  ASSERT_NE(off_run.result, nullptr);
-  EXPECT_EQ(off_run.result->num_rows(), 10u);
-  // The overridden run took the row path and materialized payload columns;
-  // the env-driven run retained only row-id intermediates (smaller).
-  EXPECT_EQ(off_run.result->num_rows(), late_run.result->num_rows());
+  qry::Predicate some{{a_, 1}, qry::CmpOp::kNe, 2};
+  for (auto op : {PhysOp::kMergeJoin, PhysOp::kNestLoopJoin}) {
+    SCOPED_TRACE(PhysOpName(op));
+    for (bool residual : {false, true}) {
+      ExpectBatchMatchesRow(
+          [&] {
+            auto plan = Join(op, Scan(0, {some}), Scan(1));
+            if (residual) plan->residual_keys.push_back({{a_, 1}, {b_, 1}});
+            return plan;
+          },
+          {1, 3, 1024}, {1, 2, 4});
+    }
+  }
+}
+
+TEST_F(ExecEdgeTest, MixedJoinAlgorithmPlansBitIdentical) {
+  // Plans mixing join algorithms: a hash subtree under a merge or
+  // nested-loop join (on either side), and a nested-loop / merge subtree
+  // under a hash join — row-id intermediates flow through every boundary.
+  const int32_t c = database_.AddTable({"c", {{"k"}, {"x"}}});
+  database_.catalog().AddJoinEdge({b_, 1}, {c, 0});
+  query_.tables.push_back(c);
+  query_.joins.push_back({{b_, 1}, {c, 0}});
+  for (int64_t i = 0; i < 400; ++i) {
+    database_.table(a_).AppendRow({i % 13, i});
+    database_.table(b_).AppendRow({i % 17, i % 9});
+    database_.table(c).AppendRow({i % 9, i});
+  }
+  database_.BuildAllIndexes();
+  const qry::Predicate a_filter{{a_, 1}, qry::CmpOp::kLt, 300};
+  const qry::Predicate c_filter{{c, 1}, qry::CmpOp::kGe, 50};
+  // (a ⋈ b) ⋈ c with the top join keyed on b.w = c.k, or c ⋈ (a ⋈ b).
+  auto make = [&](PhysOp bottom, PhysOp top, bool bottom_outer) {
+    auto ab = Join(bottom, Scan(0, {a_filter}), Scan(1));
+    auto scan_c = Scan(2, {c_filter});
+    auto node = std::make_unique<PlanNode>();
+    node->op = top;
+    node->rels = ab->rels | scan_c->rels;
+    if (bottom_outer) {
+      node->outer = std::move(ab);
+      node->inner = std::move(scan_c);
+      node->outer_key = {b_, 1};
+      node->inner_key = {c, 0};
+    } else {
+      node->outer = std::move(scan_c);
+      node->inner = std::move(ab);
+      node->outer_key = {c, 0};
+      node->inner_key = {b_, 1};
+    }
+    return node;
+  };
+  for (auto [bottom, top] :
+       {std::pair{PhysOp::kHashJoin, PhysOp::kNestLoopJoin},
+        std::pair{PhysOp::kHashJoin, PhysOp::kMergeJoin},
+        std::pair{PhysOp::kNestLoopJoin, PhysOp::kHashJoin},
+        std::pair{PhysOp::kMergeJoin, PhysOp::kHashJoin}}) {
+    for (bool bottom_outer : {true, false}) {
+      SCOPED_TRACE(std::string(PhysOpName(bottom)) + " under " +
+                   PhysOpName(top) + (bottom_outer ? " (outer)" : " (inner)"));
+      ExpectBatchMatchesRow([&] { return make(bottom, top, bottom_outer); },
+                            {1, 3, 1024}, {1, 2, 4});
+    }
+  }
+}
+
+TEST_F(ExecEdgeTest, RowLimitTripsInsideLateNestLoopOverHashSubtree) {
+  // The overflow is raised by a late nested-loop join whose outer input is
+  // itself a row-id intermediate (a hash join's output): the run aborts
+  // exactly when the oracle's does, at every batch and pool size, and the
+  // finished children match the oracle's.
+  const int32_t c = database_.AddTable({"c", {{"k"}, {"x"}}});
+  query_.tables.push_back(c);
+  query_.joins.push_back({{b_, 1}, {c, 0}});
+  for (int64_t i = 0; i < 60; ++i) {
+    database_.table(a_).AppendRow({i % 6, i});
+    database_.table(b_).AppendRow({i % 6, 1});
+    database_.table(c).AppendRow({1, i});
+  }
+  database_.BuildAllIndexes();
+  // a ⋈ b = 600 rows, all with b.w = 1; each matches all 60 c rows: 36000.
+  auto make = [&] {
+    auto ab = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
+    auto node = std::make_unique<PlanNode>();
+    node->op = PhysOp::kNestLoopJoin;
+    node->rels = ab->rels | qry::Bit(2);
+    node->outer = std::move(ab);
+    node->inner = Scan(2);
+    node->outer_key = {b_, 1};
+    node->inner_key = {c, 0};
+    return node;
+  };
+  for (size_t limit : {size_t{35999}, size_t{36000}}) {
+    for (int batch : {0, 1, 3, 1024}) {
+      for (int pool : {1, 2, 4}) {
+        SCOPED_TRACE("limit=" + std::to_string(limit) +
+                     " batch=" + std::to_string(batch) +
+                     " pool=" + std::to_string(pool));
+        common::SetGlobalPoolSize(pool);
+        auto plan = make();
+        Executor executor(&database_, &query_);
+        Executor::Options options;
+        options.batch_size = batch;
+        options.max_node_rows = limit;
+        Executor::RunResult run = executor.Run(plan.get(), options);
+        const bool expect_abort = limit < 36000;
+        EXPECT_EQ(run.aborted, expect_abort);
+        EXPECT_EQ(run.result == nullptr, expect_abort);
+        EXPECT_EQ(plan->outer->actual_card, 600u);
+        EXPECT_EQ(run.finished.count(plan.get()), expect_abort ? 0u : 1u);
+      }
+    }
+  }
+  common::SetGlobalPoolSize(0);
 }
 
 }  // namespace

@@ -67,9 +67,10 @@ TEST_P(ExecSweepTest, MatchesCanonicalCount) {
 }
 
 // Differential harness for the vectorized path: at every (batch size x pool
-// size) combination, every finished operator's rowset and actual cardinality
-// and the deterministic trace must match the row-at-a-time single-thread
-// run bit for bit. Checkpoints are enabled with a threshold no synthetic
+// size) combination, every finished operator's rowset (row-id intermediates
+// gathered back to payload columns) and actual cardinality and the
+// deterministic trace must match the row-at-a-time oracle bit for bit. The
+// merge and nested-loop sweeps run the late merge / nested-loop kernels. Checkpoints are enabled with a threshold no synthetic
 // cardinality can reach (1e300 rather than infinity — the Release build uses
 // -ffast-math), so checkpoint events are evaluated and traced at every node
 // without ever tripping.
@@ -103,13 +104,12 @@ TEST_P(ExecSweepTest, BatchMatchesVolcanoBitIdentically) {
       std::vector<uint64_t> actuals;
       std::string trace_json;
     };
-    auto run = [&](int batch, int pool, int late) {
+    auto run = [&](int batch, int pool) {
       common::SetGlobalPoolSize(pool);
       auto plan = make_plan();
       eng::QueryTrace trace;
       Executor::Options options;
       options.batch_size = batch;
-      options.late_materialization = late;
       options.enable_checkpoints = true;
       options.qerror_threshold = 1e300;
       options.trace = &trace;
@@ -123,9 +123,9 @@ TEST_P(ExecSweepTest, BatchMatchesVolcanoBitIdentically) {
       for (PlanNode* node : nodes) {
         auto it = result.finished.find(node);
         EXPECT_NE(it, result.finished.end());
-        // Late intermediates carry row ids; the deferred gather must
+        // Vectorized intermediates carry row ids; the deferred gather must
         // reproduce the oracle's payload columns bit for bit (identity for
-        // the materialized lanes).
+        // the oracle itself).
         out.rowsets.push_back(it != result.finished.end()
                                   ? MaterializeRowSet(*database_, it->second)
                                   : nullptr);
@@ -135,33 +135,27 @@ TEST_P(ExecSweepTest, BatchMatchesVolcanoBitIdentically) {
       return out;
     };
 
-    const Outcome oracle = run(/*batch=*/0, /*pool=*/1, /*late=*/0);
+    const Outcome oracle = run(/*batch=*/0, /*pool=*/1);
     for (int batch : {1, 3, 1024}) {
       for (int pool : {1, 2, 4}) {
-        // late=1 on merge/nest-loop sweeps exercises the fallback: plans the
-        // late kernels do not cover must take the plain batch path and still
-        // match bit for bit.
-        for (int late : {0, 1}) {
-          SCOPED_TRACE("joins=" + std::to_string(joins) +
-                       " batch=" + std::to_string(batch) +
-                       " pool=" + std::to_string(pool) +
-                       " late=" + std::to_string(late) +
-                       " seed=" + std::to_string(param.seed));
-          const Outcome got = run(batch, pool, late);
-          ASSERT_EQ(got.rowsets.size(), oracle.rowsets.size());
-          for (size_t i = 0; i < oracle.rowsets.size(); ++i) {
-            EXPECT_EQ(got.actuals[i], oracle.actuals[i]) << "node " << i;
-            ASSERT_NE(got.rowsets[i], nullptr);
-            ASSERT_NE(oracle.rowsets[i], nullptr);
-            EXPECT_TRUE(got.rowsets[i]->schema == oracle.rowsets[i]->schema)
-                << "node " << i;
-            EXPECT_EQ(got.rowsets[i]->row_count, oracle.rowsets[i]->row_count)
-                << "node " << i;
-            EXPECT_TRUE(got.rowsets[i]->cols == oracle.rowsets[i]->cols)
-                << "node " << i;
-          }
-          EXPECT_EQ(got.trace_json, oracle.trace_json);
+        SCOPED_TRACE("joins=" + std::to_string(joins) +
+                     " batch=" + std::to_string(batch) +
+                     " pool=" + std::to_string(pool) +
+                     " seed=" + std::to_string(param.seed));
+        const Outcome got = run(batch, pool);
+        ASSERT_EQ(got.rowsets.size(), oracle.rowsets.size());
+        for (size_t i = 0; i < oracle.rowsets.size(); ++i) {
+          EXPECT_EQ(got.actuals[i], oracle.actuals[i]) << "node " << i;
+          ASSERT_NE(got.rowsets[i], nullptr);
+          ASSERT_NE(oracle.rowsets[i], nullptr);
+          EXPECT_TRUE(got.rowsets[i]->schema == oracle.rowsets[i]->schema)
+              << "node " << i;
+          EXPECT_EQ(got.rowsets[i]->row_count, oracle.rowsets[i]->row_count)
+              << "node " << i;
+          EXPECT_TRUE(got.rowsets[i]->cols == oracle.rowsets[i]->cols)
+              << "node " << i;
         }
+        EXPECT_EQ(got.trace_json, oracle.trace_json);
       }
     }
   }

@@ -300,12 +300,12 @@ TEST_F(FuzzTest, BatchExecutorMatchesExactOracle) {
 }
 
 TEST_F(FuzzTest, LateMatBatchExecutorMatchesExactOracle) {
-  // Late-materialization lane of the oracle fuzz: randomized queries plus
-  // the hand-built multigraph / residual-key shapes, run with row-id
-  // intermediates (exec_late_mat=1) at pool sizes {1, 2, 4}, each result
-  // differentially checked against BOTH the brute-force exact-cardinality
-  // oracle and the plain batch path at the same batch size. Batch sizes 1
-  // and 3 force single-row-tail / many-empty-batch probe shapes.
+  // Row-id-intermediate lane of the oracle fuzz: randomized queries plus
+  // the hand-built multigraph / residual-key shapes, run on the vectorized
+  // path at pool sizes {1, 2, 4}, each result differentially checked
+  // against BOTH the brute-force exact-cardinality oracle and the
+  // row-at-a-time executor (exec_batch_size = 0). Batch sizes 1 and 3 force
+  // single-row-tail / many-empty-batch probe shapes.
   db::SynthImdbOptions opts;
   opts.scale = 0.01;
   auto database = db::BuildSynthImdb(opts);
@@ -353,23 +353,21 @@ TEST_F(FuzzTest, LateMatBatchExecutorMatchesExactOracle) {
       common::SetGlobalPoolSize(pool);
       eng::RunConfig late_config;
       late_config.exec_batch_size = batch;
-      late_config.exec_late_mat = 1;
       const eng::RunStats late_out =
           engine.RunQuery(query, &estimator, nullptr, late_config);
-      eng::RunConfig batch_config;
-      batch_config.exec_batch_size = batch;
-      batch_config.exec_late_mat = 0;
-      const eng::RunStats batch_out =
-          engine.RunQuery(query, &estimator, nullptr, batch_config);
+      eng::RunConfig row_config;
+      row_config.exec_batch_size = 0;
+      const eng::RunStats row_out =
+          engine.RunQuery(query, &estimator, nullptr, row_config);
       EXPECT_EQ(late_out.result_count, expected)
           << "query " << q << " batch=" << batch << " pool=" << pool;
-      EXPECT_EQ(late_out.result_count, batch_out.result_count)
+      EXPECT_EQ(late_out.result_count, row_out.result_count)
           << "query " << q << " batch=" << batch << " pool=" << pool;
       // Row-id intermediates are never wider than the materialized payloads
       // they replace (uint32 handles vs int64 values, one handle column per
       // table instead of one column per required ref).
       EXPECT_LE(late_out.peak_intermediate_bytes,
-                batch_out.peak_intermediate_bytes)
+                row_out.peak_intermediate_bytes)
           << "query " << q << " batch=" << batch << " pool=" << pool;
     }
   }
