@@ -5,6 +5,12 @@
 //  - optimizer: the plans the DP planner picks from histogram estimates —
 //    the plans the engine actually runs, nested-loop and merge joins
 //    included.
+// On the optimizer lane the vectorized joins are also broken down by shape
+// (layer numbers): each late hash join by what its probe emits — count-only
+// root, selective (fewer output rows than probe candidates), 1:1, fan-out —
+// and the merge / nested-loop joins, each reported as ns per probe candidate
+// (outer input row) and ns per emitted row id (output rows x row-id
+// columns), from per-node times (min of repeats).
 // Plus the bit-identity pin the speedups are only allowed to ride on: every
 // finished operator's rowset of the vectorized path, at pool sizes
 // {1, 2, 4}, gathered through exec::MaterializeRowSet, must equal the row
@@ -25,6 +31,7 @@
 //                         (default 2; 0 disables); also requires the
 //                         vectorized peak bytes < row peak bytes
 //   --metrics_json=PATH   append one summary JSON line
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -99,6 +106,7 @@ Flags ParseFlags(int argc, char** argv) {
 /// Post-order finished rowsets + root count of one executor run.
 struct Outcome {
   std::vector<exec::RowSetPtr> rowsets;
+  std::vector<double> node_seconds;  // post-order exec time per node
   uint64_t result_rows = 0;
   double exec_seconds = 0.0;
   size_t peak_bytes = 0;
@@ -123,6 +131,7 @@ Outcome RunOnce(const db::Database& database, const qry::Query& query,
     exec::RowSetPtr rs = it != result.finished.end() ? it->second : nullptr;
     if (materialize && rs != nullptr) rs = exec::MaterializeRowSet(database, rs);
     outcome.rowsets.push_back(rs);
+    outcome.node_seconds.push_back(node->exec_seconds);
   }
   if (std::getenv("LPCE_BENCH_PER_NODE") != nullptr) {
     for (exec::PlanNode* node : nodes) {
@@ -151,6 +160,46 @@ bool BitIdentical(const Outcome& a, const Outcome& b) {
   return true;
 }
 
+/// Vectorized join shapes the optimizer lane reports layer numbers for.
+enum JoinShape {
+  kHashCountOnly,
+  kHashSelective,
+  kHashOneToOne,
+  kHashFanOut,
+  kMerge,
+  kNestLoop,
+  kNumShapes
+};
+constexpr const char* kShapeNames[kNumShapes] = {
+    "hash_count_only", "hash_selective", "hash_one_to_one",
+    "hash_fan_out",    "merge",          "nested_loop"};
+
+/// Summed per-node figures of one join shape.
+struct ShapeStats {
+  uint64_t joins = 0;
+  uint64_t candidates = 0;  // outer input rows probed
+  uint64_t rid_values = 0;  // emitted row ids: output rows x row-id columns
+  double seconds = 0.0;
+
+  double ns_per_candidate() const {
+    return candidates > 0 ? seconds * 1e9 / static_cast<double>(candidates)
+                          : 0.0;
+  }
+  double ns_per_rid() const {
+    return rid_values > 0 ? seconds * 1e9 / static_cast<double>(rid_values)
+                          : 0.0;
+  }
+};
+
+JoinShape ShapeOf(const exec::PlanNode& node, const exec::RowSet& out) {
+  if (node.op == exec::PhysOp::kMergeJoin) return kMerge;
+  if (node.op == exec::PhysOp::kNestLoopJoin) return kNestLoop;
+  if (out.rid_cols.empty()) return kHashCountOnly;
+  const uint64_t candidates = node.outer->actual_card;
+  if (out.row_count < candidates) return kHashSelective;
+  return out.row_count == candidates ? kHashOneToOne : kHashFanOut;
+}
+
 /// One plan lane: a plan per query, timed on both paths.
 struct Lane {
   explicit Lane(const char* lane_name) : name(lane_name) {}
@@ -162,6 +211,7 @@ struct Lane {
   size_t vec_peak = 0;
   uint64_t result_rows = 0;
   uint64_t mismatches = 0;
+  ShapeStats shapes[kNumShapes];
 
   double speedup() const {
     return vec_seconds > 0.0 ? row_seconds / vec_seconds : 0.0;
@@ -178,20 +228,38 @@ void MeasureLane(const db::Database& database,
   for (size_t q = 0; q < queries.size(); ++q) {
     exec::PlanNode* plan = lane->plans[q].get();
     double row_min = 0.0, vec_min = 0.0;
+    Outcome first_vec;
+    std::vector<double> node_min;
     for (int r = 0; r < flags.repeats; ++r) {
       const Outcome row = RunOnce(database, queries[q], plan, 0, false);
       if (r == 0 || row.exec_seconds < row_min) row_min = row.exec_seconds;
-      const Outcome vec =
-          RunOnce(database, queries[q], plan, flags.batch, false);
+      Outcome vec = RunOnce(database, queries[q], plan, flags.batch, false);
       if (r == 0 || vec.exec_seconds < vec_min) vec_min = vec.exec_seconds;
       if (r == 0) {
         lane->result_rows += row.result_rows;
         lane->row_peak += row.peak_bytes;
         lane->vec_peak += vec.peak_bytes;
+        node_min = vec.node_seconds;
+        first_vec = std::move(vec);
+      } else {
+        for (size_t i = 0; i < node_min.size(); ++i) {
+          node_min[i] = std::min(node_min[i], vec.node_seconds[i]);
+        }
       }
     }
     lane->row_seconds += row_min;
     lane->vec_seconds += vec_min;
+    std::vector<exec::PlanNode*> nodes;
+    exec::PostOrderPlan(plan, &nodes);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (!nodes[i]->is_join() || first_vec.rowsets[i] == nullptr) continue;
+      const exec::RowSet& out = *first_vec.rowsets[i];
+      ShapeStats& shape = lane->shapes[ShapeOf(*nodes[i], out)];
+      ++shape.joins;
+      shape.candidates += nodes[i]->outer->actual_card;
+      shape.rid_values += out.row_count * out.rid_cols.size();
+      shape.seconds += node_min[i];
+    }
   }
   for (size_t q = 0; q < queries.size(); ++q) {
     exec::PlanNode* plan = lane->plans[q].get();
@@ -267,6 +335,18 @@ int Run(int argc, char** argv) {
                     : 0.0);
   }
 
+  std::printf("optimizer vectorized joins by shape (layer numbers):\n");
+  std::printf("  %-16s %6s %12s %12s %10s %10s\n", "shape", "joins",
+              "candidates", "row ids", "ns/cand", "ns/rowid");
+  for (int k = 0; k < kNumShapes; ++k) {
+    const ShapeStats& shape = optimizer.shapes[k];
+    std::printf("  %-16s %6llu %12llu %12llu %10.2f %10.2f\n", kShapeNames[k],
+                static_cast<unsigned long long>(shape.joins),
+                static_cast<unsigned long long>(shape.candidates),
+                static_cast<unsigned long long>(shape.rid_values),
+                shape.ns_per_candidate(), shape.ns_per_rid());
+  }
+
   bool ok = true;
   const uint64_t mismatches = canonical.mismatches + optimizer.mismatches;
   if (mismatches > 0) {
@@ -311,7 +391,23 @@ int Run(int argc, char** argv) {
         optimizer.speedup(), join_mix[0], join_mix[1], join_mix[2],
         static_cast<unsigned long long>(canonical.result_rows),
         static_cast<unsigned long long>(mismatches));
-    metrics_out << line << delta.ToJson() << "}\n";
+    std::string shapes = ",\"opt_join_shapes\":{";
+    for (int k = 0; k < kNumShapes; ++k) {
+      const ShapeStats& shape = optimizer.shapes[k];
+      char entry[256];
+      std::snprintf(entry, sizeof(entry),
+                    "%s\"%s\":{\"joins\":%llu,\"candidates\":%llu,"
+                    "\"rid_values\":%llu,\"ns_per_candidate\":%.3f,"
+                    "\"ns_per_rid\":%.3f}",
+                    k > 0 ? "," : "", kShapeNames[k],
+                    static_cast<unsigned long long>(shape.joins),
+                    static_cast<unsigned long long>(shape.candidates),
+                    static_cast<unsigned long long>(shape.rid_values),
+                    shape.ns_per_candidate(), shape.ns_per_rid());
+      shapes += entry;
+    }
+    shapes += "}";
+    metrics_out << line << delta.ToJson() << shapes << "}\n";
   }
   return ok ? 0 : 1;
 }

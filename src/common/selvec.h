@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 
 namespace lpce::common {
 
@@ -62,52 +61,6 @@ inline void GatherGathered(const T* col, const uint32_t* rid,
                            const uint32_t* sel, size_t n, T* dst) {
   for (size_t i = 0; i < n; ++i) dst[i] = col[rid[sel[i]]];
 }
-
-/// Random-access iterator over col[sel[i]]. Lets callers append a gather to a
-/// std::vector via insert(end, begin, end) — one write per element, with no
-/// value-initialization pass over the appended tail (resize would pay one).
-template <typename T = int64_t>
-class GatherIterator {
- public:
-  using iterator_category = std::random_access_iterator_tag;
-  using value_type = T;
-  using difference_type = std::ptrdiff_t;
-  using pointer = const T*;
-  using reference = T;
-
-  GatherIterator(const T* col, const uint32_t* sel, size_t i)
-      : col_(col), sel_(sel), i_(i) {}
-
-  T operator*() const { return col_[sel_[i_]]; }
-  T operator[](difference_type d) const { return col_[sel_[i_ + d]]; }
-  GatherIterator& operator++() { ++i_; return *this; }
-  GatherIterator operator++(int) { auto t = *this; ++i_; return t; }
-  GatherIterator& operator--() { --i_; return *this; }
-  GatherIterator operator--(int) { auto t = *this; --i_; return t; }
-  GatherIterator& operator+=(difference_type d) { i_ += d; return *this; }
-  GatherIterator& operator-=(difference_type d) { i_ -= d; return *this; }
-  GatherIterator operator+(difference_type d) const {
-    return GatherIterator(col_, sel_, i_ + d);
-  }
-  GatherIterator operator-(difference_type d) const {
-    return GatherIterator(col_, sel_, i_ - d);
-  }
-  difference_type operator-(const GatherIterator& o) const {
-    return static_cast<difference_type>(i_) -
-           static_cast<difference_type>(o.i_);
-  }
-  bool operator==(const GatherIterator& o) const { return i_ == o.i_; }
-  bool operator!=(const GatherIterator& o) const { return i_ != o.i_; }
-  bool operator<(const GatherIterator& o) const { return i_ < o.i_; }
-  bool operator<=(const GatherIterator& o) const { return i_ <= o.i_; }
-  bool operator>(const GatherIterator& o) const { return i_ > o.i_; }
-  bool operator>=(const GatherIterator& o) const { return i_ >= o.i_; }
-
- private:
-  const T* col_;
-  const uint32_t* sel_;
-  size_t i_;
-};
 
 }  // namespace lpce::common
 

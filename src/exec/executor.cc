@@ -404,10 +404,11 @@ RowSetPtr Executor::ExecutePseudo(const PlanNode& node,
   out->row_count = src.row_count;
   out->schema = required;
   if (vectorized()) {
-    // Pass the retained row-id columns through, pruned to the tables the
-    // remainder of the plan still references. A late pseudo can serve any
-    // column of its tables — availability is per table, not per recorded
-    // schema entry.
+    // Pass the retained row-id columns through by pointer (finished columns
+    // are immutable and shared, so no element is copied), pruned to the
+    // tables the remainder of the plan still references. A late pseudo can
+    // serve any column of its tables — availability is per table, not per
+    // recorded schema entry.
     for (int32_t table_id : LateRidTables(node.rels, required)) {
       const int idx = src.RidIndex(table_id);
       LPCE_CHECK_MSG(idx >= 0, "late pseudo relation missing a row-id column");

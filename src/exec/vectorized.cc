@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -83,7 +84,9 @@ RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
   out->schema = required;
   for (const auto& ref : required) LPCE_CHECK(ref.table == table_id);
   out->rid_tables.push_back(table_id);
-  std::vector<uint32_t>& rows = out->rid_cols.emplace_back();
+  auto rows_ptr = std::make_shared<RidColumn>();
+  out->rid_cols.push_back(rows_ptr);
+  RidColumn& rows = *rows_ptr;
 
   // A dense scan with no predicates is an identity row-id column (4 bytes
   // per row, regardless of how many columns the parent will eventually
@@ -101,7 +104,7 @@ RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
   // the surviving rows are bit-identical at every pool size.
   const size_t num_batches = (n + B - 1) / B;
   auto filter_batches = [&](size_t batch_lo, size_t batch_hi,
-                            std::vector<uint32_t>* kept) {
+                            RidColumn* kept) {
     std::vector<uint32_t> sel(B);
     for (size_t batch = batch_lo; batch < batch_hi; ++batch) {
       const size_t lo = batch * B;
@@ -131,7 +134,7 @@ RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
   if (workers > 1 && n >= kMinParallelRows && num_batches > 1) {
     const auto chunks =
         common::ThreadPool::Partition(0, num_batches, 1, workers);
-    std::vector<std::vector<uint32_t>> kept(chunks.size());
+    std::vector<RidColumn> kept(chunks.size());
     common::GlobalPool().ParallelFor(
         0, chunks.size(), 1,
         [&](size_t c0, size_t c1) {
@@ -160,12 +163,19 @@ RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
 // A join's inputs and output carry base-table row-id columns instead of
 // payload columns. Every payload read — join keys at probe time, residual-key
 // values, the final materialization — goes through the row-id indirection
-// (common/selvec.h GatherGathered). Hash-join probes concatenate whole
-// batches in order at every pool size, and merge / nested-loop joins run the
-// oracle's own pair enumeration, so the emitted row order is bit-identical
-// to the row-at-a-time kernels.
+// (common/selvec.h GatherGathered). Every join runs in two phases: it first
+// collects its match list (a hash probe's matched candidates, the merge /
+// nested-loop kernels' pairs), then allocates each output row-id column at
+// its exact size and writes it once (EmitMatches). Hash-join probes cover
+// whole batches in order at every pool size, and merge / nested-loop joins
+// run the oracle's own pair enumeration, so the emitted row order is
+// bit-identical to the row-at-a-time kernels.
 
 namespace {
+
+/// Transient kernel buffer whose resize does not zero-fill.
+template <typename T>
+using Scratch = std::vector<T, DefaultInitAllocator<T>>;
 
 /// Payload column read through a row-id indirection. `rid == nullptr` means
 /// the candidate handles already are base rows (the fused scan side), so the
@@ -183,6 +193,61 @@ struct LateRidSource {
   const uint32_t* rid = nullptr;
 };
 
+/// A join's matches in the oracle's row order, outer-major: `hand[k]` is the
+/// k-th matched outer handle and `cnt[k]` its number of matches (kept only
+/// when an outer row-id column is emitted); `inner` holds the inner row of
+/// every match (kept only when an inner row-id column is emitted).
+/// Unmatched outer rows never appear.
+struct LateMatches {
+  Scratch<uint32_t> hand, cnt, inner;
+  size_t rows = 0;       // matches
+  bool fan_out = false;  // some outer handle matched more than once
+};
+
+/// The emit phase shared by every late join: writes `m`'s rows at
+/// [row_off, row_off + m.rows) of each output column `dst[s]`. Outer columns
+/// gather through the matched handles when no handle matched twice, else
+/// run-length fill over the matched handles only; inner columns gather
+/// through the match list. Callers allocate every column at its exact size
+/// first, so each element is written once.
+void EmitMatches(const LateMatches& m, const std::vector<LateRidSource>& srcs,
+                 const std::vector<uint32_t*>& dst, size_t row_off) {
+  for (size_t s = 0; s < srcs.size(); ++s) {
+    uint32_t* d = dst[s] + row_off;
+    const LateRidSource& src = srcs[s];
+    if (!src.from_outer) {
+      common::GatherSelected(src.rid, m.inner.data(), m.rows, d);
+    } else if (!m.fan_out) {
+      if (src.rid != nullptr) {
+        common::GatherSelected(src.rid, m.hand.data(), m.hand.size(), d);
+      } else {
+        std::copy(m.hand.begin(), m.hand.end(), d);
+      }
+    } else {
+      for (size_t k = 0; k < m.hand.size(); ++k) {
+        const uint32_t h = m.hand[k];
+        d = std::fill_n(d, m.cnt[k], src.rid != nullptr ? src.rid[h] : h);
+      }
+    }
+  }
+}
+
+/// Allocates every output row-id column of `out` at exactly `rows` entries;
+/// returns their write pointers for EmitMatches.
+std::vector<uint32_t*> AllocateRidColumns(RowSet* out, size_t num_cols,
+                                          size_t rows) {
+  std::vector<uint32_t*> dst;
+  dst.reserve(num_cols);
+  out->row_count = rows;
+  out->rid_cols.clear();
+  for (size_t s = 0; s < num_cols; ++s) {
+    auto col = std::make_shared<RidColumn>(rows);
+    dst.push_back(col->data());
+    out->rid_cols.push_back(std::move(col));
+  }
+  return dst;
+}
+
 /// Flattened bucket-segment table over the inner side's (gathered) keys,
 /// built by counting sort: every bucket's (key, row) pairs land in one
 /// contiguous segment of flat_keys/flat_rows, written in ascending inner-row
@@ -194,8 +259,8 @@ struct LateRidSource {
 struct LateBuildTable {
   uint64_t mask = 0;
   std::vector<uint32_t> off;
-  std::vector<int64_t> flat_keys;
-  std::vector<uint32_t> flat_rows;
+  Scratch<int64_t> flat_keys;
+  Scratch<uint32_t> flat_rows;
 };
 
 LateBuildTable BuildLateHashTable(const int64_t* key_base,
@@ -207,11 +272,12 @@ LateBuildTable BuildLateHashTable(const int64_t* key_base,
   t.mask = nbuckets - 1;
   // Gather the inner keys through the row-id indirection once; the bucket
   // pass and the flat fill both read the gathered copy sequentially.
-  std::vector<int64_t> ikeys(n_inner);
-  std::vector<uint32_t> bucket(n_inner);
+  Scratch<int64_t> ikeys(n_inner);
+  Scratch<uint32_t> bucket(n_inner);
   auto hash_range = [&](size_t b, size_t e) {
+    common::GatherSelected(key_base, key_rid + b, e - b, ikeys.data() + b);
+    // Apart from the gather, hashing is load-free, so it vectorizes.
     for (size_t r = b; r < e; ++r) {
-      ikeys[r] = key_base[key_rid[r]];
       bucket[r] = static_cast<uint32_t>(MixJoinKey(ikeys[r]) & t.mask);
     }
   };
@@ -226,20 +292,92 @@ LateBuildTable BuildLateHashTable(const int64_t* key_base,
   } else {
     hash_range(0, n_inner);
   }
-  t.off.assign(nbuckets + 1, 0);
-  for (size_t r = 0; r < n_inner; ++r) ++t.off[bucket[r] + 1];
-  for (size_t b = 0; b < nbuckets; ++b) t.off[b + 1] += t.off[b];
-  t.flat_keys.resize(n_inner);
-  t.flat_rows.resize(n_inner);
-  {
-    std::vector<uint32_t> cursor(t.off.begin(), t.off.end() - 1);
-    for (size_t r = 0; r < n_inner; ++r) {
-      const uint32_t p = cursor[bucket[r]]++;
-      t.flat_keys[p] = ikeys[r];
-      t.flat_rows[p] = static_cast<uint32_t>(r);
+  // Counting sort through a shifted offset array: bucket b counts into
+  // off[b + 2], so after the prefix sum off[b + 1] is bucket b's first slot.
+  // The scatter advances off[b + 1] in place to bucket b's end — bucket
+  // b + 1's start — which leaves the finished offset table behind with no
+  // cursor copy.
+  t.off.assign(nbuckets + 2, 0);
+  for (size_t r = 0; r < n_inner; ++r) ++t.off[bucket[r] + 2];
+  for (size_t b = 2; b < nbuckets + 2; ++b) t.off[b] += t.off[b - 1];
+  // One padding entry: the probe reads a segment's first entry even when
+  // the segment is empty, which for the last buckets is index n_inner.
+  t.flat_keys.resize(n_inner + 1);
+  t.flat_rows.resize(n_inner + 1);
+  t.flat_keys[n_inner] = 0;
+  t.flat_rows[n_inner] = 0;
+  for (size_t r = 0; r < n_inner; ++r) {
+    const uint32_t p = t.off[bucket[r] + 1]++;
+    t.flat_keys[p] = ikeys[r];
+    t.flat_rows[p] = static_cast<uint32_t>(r);
+  }
+  t.off.pop_back();
+  return t;
+}
+
+/// One probe batch's matches: `hand[k]`/`cnt[k]` for k < matched are the
+/// matched candidates and their match counts (when kept), `rows` the inner
+/// row of each of the `m` matches (when kept), all in candidate order.
+struct BatchMatches {
+  uint32_t* hand = nullptr;
+  uint32_t* cnt = nullptr;
+  uint32_t* rows = nullptr;
+  size_t matched = 0;
+  size_t m = 0;
+};
+
+/// The probe's segment scan, branch-free: every entry of each candidate's
+/// bucket segment is compared against its key and the match cursor advanced
+/// by the key-equality result. kKeepRows also stores each entry's inner row
+/// unconditionally at the cursor, so each key's matches land in ascending
+/// inner-row order. There the first entry is read for every candidate, empty
+/// segment or not (the flat arrays carry one padding entry), and masked by
+/// the segment bound; the loop only runs for the rest of a segment. With at
+/// least two buckets per build row most segments hold at most one entry, so
+/// that loop is rarely entered and a miss costs no branch misprediction.
+/// `out->rows` must hold one entry more than the segments hold. Without
+/// kKeepRows a segment is a plain count, which vectorizes over long runs of
+/// duplicate keys. kKeepHands stores each candidate and its count
+/// unconditionally too and keeps them by advancing a second cursor when it
+/// matched, so the matched candidates come out compacted. With neither, the
+/// scan only counts (a root join).
+template <bool kKeepRows, bool kKeepHands>
+void ProbeSegments(const LateBuildTable& build, const int64_t* keys,
+                   const uint32_t* buckets, const uint32_t* cand, size_t live,
+                   BatchMatches* out) {
+  const uint32_t* off = build.off.data();
+  const int64_t* flat_keys = build.flat_keys.data();
+  const uint32_t* flat_rows = build.flat_rows.data();
+  uint32_t* rows = out->rows;
+  size_t m = 0, k = 0;
+  for (size_t i = 0; i < live; ++i) {
+    const int64_t key = keys[i];
+    const uint32_t seg_begin = off[buckets[i]];
+    const uint32_t seg_end = off[buckets[i] + 1];
+    const size_t before = m;
+    if constexpr (kKeepRows) {
+      rows[m] = flat_rows[seg_begin];
+      m += static_cast<size_t>((seg_begin < seg_end) &
+                               (flat_keys[seg_begin] == key));
+      for (uint32_t j = seg_begin + 1; j < seg_end; ++j) {
+        rows[m] = flat_rows[j];
+        m += static_cast<size_t>(flat_keys[j] == key);
+      }
+    } else {
+      size_t c = 0;
+      for (uint32_t j = seg_begin; j < seg_end; ++j) {
+        c += static_cast<size_t>(flat_keys[j] == key);
+      }
+      m += c;
+    }
+    if constexpr (kKeepHands) {
+      out->hand[k] = cand[i];
+      out->cnt[k] = static_cast<uint32_t>(m - before);
+      k += static_cast<size_t>(m != before);
     }
   }
-  return t;
+  out->matched = k;
+  out->m = m;
 }
 
 struct LateProbeArgs {
@@ -254,62 +392,61 @@ struct LateProbeArgs {
   size_t n_inner = 0;  // build-side rows (parallel threshold only)
 };
 
-/// Shared probe driver for the late join kernels. `fill(batch, cand)` writes
-/// the batch's candidate handles (rowset rows for the unfused kernel, filter-
-/// surviving base rows for the fused one) and returns how many there are;
-/// batch k always covers candidate domain [k*B, (k+1)*B), so chunking whole
-/// batches across workers concatenates back to the sequential order. A
-/// non-null `collected` accumulates every candidate (the fused scan's
-/// output). Returns false on overflow.
+/// Probe driver shared by the late hash-join kernels, in two phases.
 ///
-/// Probe modes, all sharing the branch-free segment scan (every entry is
-/// stored/summed unconditionally, the cursor advances by the key-equality
-/// result):
-///  - count-only (no residuals, no output row ids — a root join): each batch
-///    is a pure sum of key-equality hits, nothing materialized;
-///  - expand (no residuals): only inner rows are collected, plus a
-///    per-candidate match count; outer row ids are emitted by run-length fill
-///    and inner ones by gather (inner rows are skipped entirely when no inner
-///    row id is emitted);
-///  - pairs (residual keys): full (outer, inner) candidate pairs, refined
-///    branch-free per residual key, then gathered per side.
+/// Probe: `fill(batch, cand)` writes the batch's candidate handles (rowset
+/// rows for the unfused kernel, filter-surviving base rows for the fused
+/// one) and returns how many there are; batch k always covers candidate
+/// domain [k*B, (k+1)*B), so chunks of whole batches concatenate back to the
+/// sequential order. Each batch runs through ProbeSegments, which writes the
+/// matched candidates compacted into the chunk's LateMatches, and residual
+/// keys then refine those matches in place. A root join (no output row ids)
+/// only counts.
+///
+/// Emit: the total is now exact, so every output column is allocated once
+/// and each chunk writes its own disjoint slice through EmitMatches.
+///
+/// A non-null `collected` receives every candidate (the fused scan's
+/// output). Returns false on overflow (more than `max_rows` matches).
 template <typename FillBatch>
 bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
-                    FillBatch fill, RowSet* out,
-                    std::vector<uint32_t>* collected) {
+                    FillBatch fill, RowSet* out, RidColumnPtr* collected) {
   const size_t B = a.B;
-  const uint64_t mask = build.mask;
-  const std::vector<uint32_t>& off = build.off;
-  const std::vector<int64_t>& flat_keys = build.flat_keys;
-  const std::vector<uint32_t>& flat_rows = build.flat_rows;
   const size_t num_batches = (a.n_cand + B - 1) / B;
+  bool need_outer = false, need_inner = false;
+  for (const LateRidSource& s : a.out_rids) {
+    need_outer |= s.from_outer;
+    need_inner |= !s.from_outer;
+  }
+  const bool keep_rows = need_inner || !a.residual.empty();
+  const bool keep_hands = need_outer || !a.residual.empty();
   std::atomic<size_t> emitted{0};
   std::atomic<bool> over{false};
 
-  const bool count_only = a.residual.empty() && a.out_rids.empty();
-  const bool expand = a.residual.empty() && !count_only;
-  bool need_inner_rows = !expand;
-  for (const LateRidSource& s : a.out_rids) need_inner_rows |= !s.from_outer;
-
-  struct ChunkOut {
-    std::vector<std::vector<uint32_t>> rids;
-    std::vector<uint32_t> cand_rows;  // collected candidates (fused scans)
-    size_t rows = 0;
+  struct Chunk {
+    LateMatches matches;
+    Scratch<uint32_t> cand_rows;  // collected candidates (fused scans)
   };
 
-  auto probe_batches = [&](size_t batch_lo, size_t batch_hi, ChunkOut* local) {
-    local->rids.resize(a.out_rids.size());
-    std::vector<uint32_t> cand(B);
-    std::vector<uint32_t> m_outer(expand || count_only ? 0 : B), m_inner(B);
-    std::vector<uint32_t> counts(expand ? B : 0);
-    std::vector<uint32_t> buckets(B);
-    std::vector<int64_t> okey_buf(B);
-    std::vector<int64_t> res_outer, res_inner;
+  auto probe_batches = [&](size_t batch_lo, size_t batch_hi, Chunk* chunk) {
+    LateMatches& mt = chunk->matches;
+    Scratch<uint32_t> cand(B), buckets(B), pair_k;
+    // Without outer columns the batch's matched candidates are only needed
+    // for residual keys and live here instead of in the match list.
+    const size_t hand_scratch = keep_hands && !need_outer ? B : 0;
+    Scratch<uint32_t> hand(hand_scratch), cnt(hand_scratch);
+    Scratch<int64_t> okeys(B), res_outer, res_inner;
+    if (need_outer) {
+      // At most one entry per candidate, so these never reallocate.
+      const size_t max_cand = std::min(batch_hi * B, a.n_cand) - batch_lo * B;
+      mt.hand.reserve(max_cand);
+      mt.cnt.reserve(max_cand);
+    }
     for (size_t batch = batch_lo; batch < batch_hi; ++batch) {
       if (over.load(std::memory_order_relaxed)) return;
       const size_t live = fill(batch, cand.data());
       if (collected != nullptr) {
-        local->cand_rows.insert(local->cand_rows.end(), cand.data(),
+        chunk->cand_rows.insert(chunk->cand_rows.end(), cand.data(),
                                 cand.data() + live);
       }
       if (live == 0) continue;
@@ -318,128 +455,102 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
       // copies for.
       if (a.okey_rid != nullptr) {
         common::GatherGathered(a.okey_base, a.okey_rid, cand.data(), live,
-                               okey_buf.data());
+                               okeys.data());
       } else {
-        common::GatherSelected(a.okey_base, cand.data(), live, okey_buf.data());
+        common::GatherSelected(a.okey_base, cand.data(), live, okeys.data());
       }
+      // Hashing alone is branch- and load-free, so it vectorizes.
       for (size_t i = 0; i < live; ++i) {
-        buckets[i] = static_cast<uint32_t>(MixJoinKey(okey_buf[i]) & mask);
+        buckets[i] = static_cast<uint32_t>(MixJoinKey(okeys[i]) & build.mask);
       }
-      if (count_only) {
-        size_t hits = 0;
+      // Matched candidates, their counts and the emitted inner rows go
+      // straight into the chunk's match list; with residual keys alone the
+      // inner rows only hold this batch's matches.
+      const size_t hand_base = need_outer ? mt.hand.size() : 0;
+      const size_t base = need_inner ? mt.inner.size() : 0;
+      BatchMatches bm{hand.data(), cnt.data(), nullptr};
+      if (need_outer) {
+        mt.hand.resize(hand_base + live);
+        mt.cnt.resize(hand_base + live);
+        bm.hand = mt.hand.data() + hand_base;
+        bm.cnt = mt.cnt.data() + hand_base;
+      }
+      if (keep_rows) {
+        // Segment entries: an upper bound on the matches (ProbeSegments
+        // writes one row past it).
+        size_t bound = 0;
         for (size_t i = 0; i < live; ++i) {
-          const int64_t key = okey_buf[i];
-          const uint64_t b = buckets[i];
-          const uint32_t seg_end = off[b + 1];
-          for (uint32_t j = off[b]; j < seg_end; ++j) {
-            hits += static_cast<size_t>(flat_keys[j] == key);
-          }
+          bound += build.off[buckets[i] + 1] - build.off[buckets[i]];
         }
-        local->rows += hits;
-        if (a.max_rows > 0 && hits > 0 &&
-            emitted.fetch_add(hits, std::memory_order_relaxed) + hits >
-                a.max_rows) {
-          over.store(true, std::memory_order_relaxed);
-          return;
-        }
-        continue;
+        mt.inner.resize(base + bound + 1);
+        bm.rows = mt.inner.data() + base;
       }
-      size_t m = 0;
-      for (size_t i = 0; i < live; ++i) {
-        const int64_t key = okey_buf[i];
-        const uint64_t b = buckets[i];
-        const uint32_t seg_begin = off[b];
-        const uint32_t seg_end = off[b + 1];
-        if (need_inner_rows && m + (seg_end - seg_begin) > m_inner.size()) {
-          const size_t grown =
-              std::max(m_inner.size() * 2, m + (seg_end - seg_begin));
-          m_inner.resize(grown);
-          if (!expand) m_outer.resize(grown);
-        }
-        if (expand && !need_inner_rows) {
-          size_t hits = 0;
-          for (uint32_t j = seg_begin; j < seg_end; ++j) {
-            hits += static_cast<size_t>(flat_keys[j] == key);
-          }
-          counts[i] = static_cast<uint32_t>(hits);
-          m += hits;
-        } else if (expand) {
-          const size_t before = m;
-          for (uint32_t j = seg_begin; j < seg_end; ++j) {
-            m_inner[m] = flat_rows[j];
-            m += static_cast<size_t>(flat_keys[j] == key);
-          }
-          counts[i] = static_cast<uint32_t>(m - before);
-        } else {
-          for (uint32_t j = seg_begin; j < seg_end; ++j) {
-            m_outer[m] = cand[i];
-            m_inner[m] = flat_rows[j];
-            m += static_cast<size_t>(flat_keys[j] == key);
-          }
-        }
+      const int64_t* k = okeys.data();
+      const uint32_t* b = buckets.data();
+      if (keep_rows && keep_hands) {
+        ProbeSegments<true, true>(build, k, b, cand.data(), live, &bm);
+      } else if (keep_rows) {
+        ProbeSegments<true, false>(build, k, b, cand.data(), live, &bm);
+      } else if (keep_hands) {
+        ProbeSegments<false, true>(build, k, b, cand.data(), live, &bm);
+      } else {
+        ProbeSegments<false, false>(build, k, b, cand.data(), live, &bm);
       }
-      // Residual equi-join keys evaluate through the same indirection: gather
-      // both sides' candidate values (two-level on the rid-backed sides),
-      // then refine branch-free.
-      for (const auto& [res_o, res_i] : a.residual) {
-        if (m == 0) break;
-        if (res_outer.size() < m) {
-          res_outer.resize(m);
-          res_inner.resize(m);
+      if (!a.residual.empty() && bm.m > 0) {
+        // Residual equi-join keys evaluate through the same indirection:
+        // each outer value is gathered once per matched candidate, each
+        // inner value once per match, and the matches are refined
+        // branch-free, then recounted and the candidates compacted again.
+        pair_k.resize(bm.m);
+        res_outer.resize(bm.matched);
+        res_inner.resize(bm.m);
+        uint32_t* next = pair_k.data();
+        for (size_t k = 0; k < bm.matched; ++k) {
+          next = std::fill_n(next, bm.cnt[k], static_cast<uint32_t>(k));
         }
-        if (res_o.rid != nullptr) {
-          common::GatherGathered(res_o.base, res_o.rid, m_outer.data(), m,
-                                 res_outer.data());
-        } else {
-          common::GatherSelected(res_o.base, m_outer.data(), m,
-                                 res_outer.data());
-        }
-        common::GatherGathered(res_i.base, res_i.rid, m_inner.data(), m,
-                               res_inner.data());
-        size_t k = 0;
-        for (size_t j = 0; j < m; ++j) {
-          m_outer[k] = m_outer[j];
-          m_inner[k] = m_inner[j];
-          k += static_cast<size_t>(res_outer[j] == res_inner[j]);
-        }
-        m = k;
-      }
-      // Emit row-id columns only — the whole point: one uint32 column per
-      // still-referenced table instead of one int64 column per payload.
-      for (size_t s = 0; s < a.out_rids.size(); ++s) {
-        auto& dst = local->rids[s];
-        const LateRidSource& src = a.out_rids[s];
-        if (src.from_outer && expand) {
-          // Run-length emit: each outer row id repeats once per match, in
-          // match order — identical to gathering through explicit pairs.
-          for (size_t i = 0; i < live; ++i) {
-            const uint32_t cnt = counts[i];
-            if (cnt > 0) {
-              dst.insert(dst.end(), cnt,
-                         src.rid != nullptr ? src.rid[cand[i]] : cand[i]);
-            }
-          }
-        } else if (src.from_outer) {
-          if (src.rid != nullptr) {
-            dst.insert(dst.end(),
-                       common::GatherIterator<uint32_t>(src.rid,
-                                                        m_outer.data(), 0),
-                       common::GatherIterator<uint32_t>(src.rid,
-                                                        m_outer.data(), m));
+        for (const auto& [res_o, res_i] : a.residual) {
+          if (bm.m == 0) break;
+          if (res_o.rid != nullptr) {
+            common::GatherGathered(res_o.base, res_o.rid, bm.hand, bm.matched,
+                                   res_outer.data());
           } else {
-            dst.insert(dst.end(), m_outer.data(), m_outer.data() + m);
+            common::GatherSelected(res_o.base, bm.hand, bm.matched,
+                                   res_outer.data());
           }
-        } else {
-          dst.insert(dst.end(),
-                     common::GatherIterator<uint32_t>(src.rid, m_inner.data(),
-                                                      0),
-                     common::GatherIterator<uint32_t>(src.rid, m_inner.data(),
-                                                      m));
+          common::GatherGathered(res_i.base, res_i.rid, bm.rows, bm.m,
+                                 res_inner.data());
+          size_t kept = 0;
+          for (size_t j = 0; j < bm.m; ++j) {
+            const uint32_t row = bm.rows[j];
+            const uint32_t k = pair_k[j];
+            bm.rows[kept] = row;
+            pair_k[kept] = k;
+            kept += static_cast<size_t>(res_outer[k] == res_inner[j]);
+          }
+          bm.m = kept;
         }
+        std::fill_n(bm.cnt, bm.matched, 0u);
+        for (size_t j = 0; j < bm.m; ++j) ++bm.cnt[pair_k[j]];
+        size_t kept = 0;
+        for (size_t k = 0; k < bm.matched; ++k) {
+          bm.hand[kept] = bm.hand[k];
+          bm.cnt[kept] = bm.cnt[k];
+          kept += static_cast<size_t>(bm.cnt[k] != 0);
+        }
+        bm.matched = kept;
       }
-      local->rows += m;
-      if (a.max_rows > 0 && m > 0 &&
-          emitted.fetch_add(m, std::memory_order_relaxed) + m > a.max_rows) {
+      if (need_inner) mt.inner.resize(base + bm.m);
+      if (need_outer) {
+        mt.hand.resize(hand_base + bm.matched);
+        mt.cnt.resize(hand_base + bm.matched);
+        // Every matched candidate counts at least once, so more matches
+        // than matched candidates means one of them repeats.
+        mt.fan_out |= bm.m > bm.matched;
+      }
+      mt.rows += bm.m;
+      if (a.max_rows > 0 && bm.m > 0 &&
+          emitted.fetch_add(bm.m, std::memory_order_relaxed) + bm.m >
+              a.max_rows) {
         over.store(true, std::memory_order_relaxed);
         return;
       }
@@ -447,58 +558,56 @@ bool LateProbeDrive(const LateBuildTable& build, const LateProbeArgs& a,
   };
 
   BatchesCounter()->Increment(num_batches);
-  common::ThreadPool& pool = common::GlobalPool();
+  std::vector<std::pair<size_t, size_t>> ranges = {{0, num_batches}};
   if (a.workers > 1 && a.n_cand + a.n_inner >= kMinParallelRows &&
       num_batches > 1) {
-    const auto chunks =
-        common::ThreadPool::Partition(0, num_batches, 1, a.workers);
-    std::vector<ChunkOut> partials(chunks.size());
-    pool.ParallelFor(
+    ranges = common::ThreadPool::Partition(0, num_batches, 1, a.workers);
+  }
+  std::vector<Chunk> chunks(ranges.size());
+  // Runs body(c) for every chunk: inline for one, on the pool otherwise,
+  // under the worker profile span `span` (a string literal).
+  auto for_each_chunk = [&](const char* span,
+                            const std::function<void(size_t)>& body) {
+    if (chunks.size() == 1) {
+      body(0);
+      return;
+    }
+    common::GlobalPool().ParallelFor(
         0, chunks.size(), 1,
         [&](size_t c0, size_t c1) {
-          LPCE_PROFILE_SCOPE("exec.worker.late_probe");
-          for (size_t c = c0; c < c1; ++c) {
-            probe_batches(chunks[c].first, chunks[c].second, &partials[c]);
-          }
+          LPCE_PROFILE_SCOPE(span);
+          for (size_t c = c0; c < c1; ++c) body(c);
         },
         a.workers);
-    if (over.load()) return false;
-    size_t total = 0;
-    for (const auto& p : partials) total += p.rows;
-    out->row_count = total;
-    pool.ParallelFor(
-        0, a.out_rids.size(), 1,
-        [&](size_t s0, size_t s1) {
-          LPCE_PROFILE_SCOPE("exec.worker.concat");
-          for (size_t s = s0; s < s1; ++s) {
-            auto& dst = out->rid_cols[s];
-            dst.reserve(total);
-            for (const auto& p : partials) {
-              dst.insert(dst.end(), p.rids[s].begin(), p.rids[s].end());
-            }
-          }
-        },
-        a.workers);
-    if (collected != nullptr) {
-      size_t kept = 0;
-      for (const auto& p : partials) kept += p.cand_rows.size();
-      collected->reserve(kept);
-      for (const auto& p : partials) {
-        collected->insert(collected->end(), p.cand_rows.begin(),
-                          p.cand_rows.end());
-      }
-    }
-    return true;
-  }
-
-  ChunkOut all;
-  probe_batches(0, num_batches, &all);
+  };
+  for_each_chunk("exec.worker.late_probe", [&](size_t c) {
+    probe_batches(ranges[c].first, ranges[c].second, &chunks[c]);
+  });
   if (over.load()) return false;
-  out->row_count = all.rows;
-  for (size_t s = 0; s < a.out_rids.size(); ++s) {
-    out->rid_cols[s] = std::move(all.rids[s]);
+
+  // Emit: each chunk's rows start at the prefix sum of the chunks before it.
+  std::vector<size_t> row_off(chunks.size() + 1, 0);
+  std::vector<size_t> cand_off(chunks.size() + 1, 0);
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    row_off[c + 1] = row_off[c] + chunks[c].matches.rows;
+    cand_off[c + 1] = cand_off[c] + chunks[c].cand_rows.size();
   }
-  if (collected != nullptr) *collected = std::move(all.cand_rows);
+  const std::vector<uint32_t*> dst =
+      AllocateRidColumns(out, a.out_rids.size(), row_off.back());
+  std::shared_ptr<RidColumn> kept;
+  if (collected != nullptr) {
+    kept = chunks.size() == 1
+               ? std::make_shared<RidColumn>(std::move(chunks[0].cand_rows))
+               : std::make_shared<RidColumn>(cand_off.back());
+  }
+  for_each_chunk("exec.worker.late_emit", [&](size_t c) {
+    EmitMatches(chunks[c].matches, a.out_rids, dst, row_off[c]);
+    if (kept != nullptr && chunks.size() > 1) {
+      std::copy(chunks[c].cand_rows.begin(), chunks[c].cand_rows.end(),
+                kept->begin() + cand_off[c]);
+    }
+  });
+  if (collected != nullptr) *collected = std::move(kept);
   return true;
 }
 
@@ -509,7 +618,7 @@ LateKeyCol LateSideKey(const db::Database& db, const RowSet& side,
   const int idx = side.RidIndex(key.table);
   LPCE_CHECK_MSG(idx >= 0, "late join input missing the key table's row ids");
   return {db.table(key.table).column(key.column).data(),
-          side.rid_cols[idx].data()};
+          side.rid_cols[idx]->data()};
 }
 
 std::vector<LateRidSource> ResolveRidSources(
@@ -521,7 +630,7 @@ std::vector<LateRidSource> ResolveRidSources(
     if (outer != nullptr) {
       const int oi = outer->RidIndex(table_id);
       if (oi >= 0) {
-        sources.push_back({true, outer->rid_cols[oi].data()});
+        sources.push_back({true, outer->rid_cols[oi]->data()});
         continue;
       }
     } else if (table_id == fused_outer_table) {
@@ -530,7 +639,7 @@ std::vector<LateRidSource> ResolveRidSources(
     }
     const int ii = inner.RidIndex(table_id);
     LPCE_CHECK_MSG(ii >= 0, "join output row-id table not found in either side");
-    sources.push_back({false, inner.rid_cols[ii].data()});
+    sources.push_back({false, inner.rid_cols[ii]->data()});
   }
   return sources;
 }
@@ -553,7 +662,6 @@ RowSetPtr LateHashJoin(const db::Database& db, const RowSet& outer,
   auto out = std::make_shared<RowSet>();
   out->schema = required;
   out->rid_tables = out_rid_tables;
-  out->rid_cols.resize(out_rid_tables.size());
 
   const LateKeyCol okey = LateSideKey(db, outer, outer_key);
   const LateKeyCol ikey = LateSideKey(db, inner, inner_key);
@@ -608,7 +716,6 @@ RowSetPtr LateFusedScanJoin(
   auto out = std::make_shared<RowSet>();
   out->schema = required;
   out->rid_tables = out_rid_tables;
-  out->rid_cols.resize(out_rid_tables.size());
 
   const LateKeyCol ikey = LateSideKey(db, inner, inner_key);
   const LateBuildTable build =
@@ -658,7 +765,7 @@ RowSetPtr LateFusedScanJoin(
     return live;
   };
 
-  std::vector<uint32_t> kept;
+  RidColumnPtr kept;
   if (!LateProbeDrive(build, args, fill, out.get(), &kept)) {
     // Overflow abandons the run; the caller recomputes the scan honestly if
     // it still needs the outer node's bookkeeping.
@@ -669,7 +776,7 @@ RowSetPtr LateFusedScanJoin(
   auto scan = std::make_shared<RowSet>();
   scan->schema = scan_required;
   for (const auto& ref : scan_required) LPCE_CHECK(ref.table == outer_table_id);
-  scan->row_count = kept.size();
+  scan->row_count = kept->size();
   scan->rid_tables.push_back(outer_table_id);
   scan->rid_cols.push_back(std::move(kept));
   *scan_out = std::move(scan);
@@ -688,9 +795,11 @@ std::vector<int64_t> GatherSideColumn(const db::Database& db,
 }
 
 /// Shared body of the late merge and nested-loop joins: gathers both sides'
-/// keys once, then lets `enumerate` (MergePairs / NestLoopPairs) drive the
-/// emission of row-id columns for every pair that also agrees on the
-/// residual keys.
+/// keys once, lets `enumerate` (MergePairs / NestLoopPairs) collect every
+/// pair that also agrees on the residual keys into a LateMatches — each
+/// outer row's pairs arrive consecutively in both enumerations, so they
+/// run-length encode — then writes every output column once at its exact
+/// size through EmitMatches.
 template <typename Enumerate>
 RowSetPtr LatePairJoin(const db::Database& db, const RowSet& outer,
                        const RowSet& inner, db::ColRef outer_key,
@@ -703,7 +812,6 @@ RowSetPtr LatePairJoin(const db::Database& db, const RowSet& outer,
   auto out = std::make_shared<RowSet>();
   out->schema = required;
   out->rid_tables = out_rid_tables;
-  out->rid_cols.resize(out_rid_tables.size());
   const std::vector<int64_t> okeys = GatherSideColumn(db, outer, outer_key);
   const std::vector<int64_t> ikeys = GatherSideColumn(db, inner, inner_key);
   std::vector<std::pair<std::vector<int64_t>, std::vector<int64_t>>> residual;
@@ -714,23 +822,40 @@ RowSetPtr LatePairJoin(const db::Database& db, const RowSet& outer,
   }
   const std::vector<LateRidSource> sources =
       ResolveRidSources(&outer, inner, -1, out_rid_tables);
+  bool need_outer = false, need_inner = false;
+  for (const LateRidSource& s : sources) {
+    need_outer |= s.from_outer;
+    need_inner |= !s.from_outer;
+  }
+  LateMatches matches;
   auto emit = [&](size_t o, size_t i) {
     for (const auto& [ocol, icol] : residual) {
       if (ocol[o] != icol[i]) return;
     }
-    for (size_t s = 0; s < sources.size(); ++s) {
-      out->rid_cols[s].push_back(sources[s].rid[sources[s].from_outer ? o : i]);
+    if (need_outer) {
+      if (!matches.hand.empty() && matches.hand.back() == o) {
+        matches.fan_out = true;
+        ++matches.cnt.back();
+      } else {
+        matches.hand.push_back(static_cast<uint32_t>(o));
+        matches.cnt.push_back(1);
+      }
     }
-    ++out->row_count;
+    if (need_inner) matches.inner.push_back(static_cast<uint32_t>(i));
+    ++matches.rows;
   };
+  bool over = false;
   auto over_limit = [&] {
-    if (max_rows > 0 && out->row_count > max_rows) {
-      *overflow = true;
-      return true;
-    }
-    return false;
+    over = max_rows > 0 && matches.rows > max_rows;
+    return over;
   };
   enumerate(okeys, ikeys, emit, over_limit);
+  if (over) {
+    *overflow = true;
+    return out;
+  }
+  EmitMatches(matches, sources,
+              AllocateRidColumns(out.get(), sources.size(), matches.rows), 0);
   return out;
 }
 
@@ -779,7 +904,7 @@ RowSetPtr MaterializeRowSet(const db::Database& db, RowSetPtr rs,
     const db::ColRef ref = out->schema[c];
     const int idx = rs->RidIndex(ref.table);
     LPCE_CHECK_MSG(idx >= 0, "late rowset missing row ids for a schema column");
-    const auto& rid = rs->rid_cols[idx];
+    const RidColumn& rid = *rs->rid_cols[idx];
     const auto& src = db.table(ref.table).column(ref.column);
     auto& dst = out->cols[c];
     dst.resize(rid.size());

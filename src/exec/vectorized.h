@@ -46,11 +46,14 @@ RowSetPtr BatchScan(const db::Table& table, int32_t table_id,
 /// key values are gathered through the row-id indirection at probe time
 /// (common/selvec.h GatherGathered) and the output carries one row-id column
 /// per table in `out_rid_tables` — no payload column is ever materialized.
-/// `required` is recorded in the output schema unmaterialized. Per-key match
-/// lists enumerate in ascending inner-row order and probe batches are
-/// concatenated in order, so the emitted rows are bit-identical to the row
-/// oracle's at every batch and pool size. Sets *overflow when more than
-/// `max_rows` rows would be emitted (0 = unlimited).
+/// `required` is recorded in the output schema unmaterialized. Two phases:
+/// the probe collects a match list (matched outer rows with their match
+/// counts, inner rows of every match), then every output column is allocated
+/// at its exact size and written once. Per-key matches enumerate in
+/// ascending inner-row order and probe batches keep their order, so the
+/// emitted rows are bit-identical to the row oracle's at every batch and
+/// pool size. Sets *overflow when more than `max_rows` rows would be emitted
+/// (0 = unlimited).
 RowSetPtr LateHashJoin(const db::Database& db, const RowSet& outer,
                        const RowSet& inner, db::ColRef outer_key,
                        db::ColRef inner_key,
@@ -82,9 +85,10 @@ RowSetPtr LateFusedScanJoin(
 
 /// Late nested-loop and merge joins: keys and residual keys are gathered
 /// through both sides' row ids, then the match pairs are enumerated by
-/// NestLoopPairs / MergePairs — the row oracle's own enumeration — and
-/// emitted as row-id columns for `out_rid_tables`. Same overflow contract
-/// as LateHashJoin.
+/// NestLoopPairs / MergePairs — the row oracle's own enumeration — into the
+/// same kind of match list as LateHashJoin's, and each row-id column for
+/// `out_rid_tables` is written once at its exact size. Same overflow
+/// contract as LateHashJoin.
 RowSetPtr LateNestLoopJoin(const db::Database& db, const RowSet& outer,
                            const RowSet& inner, db::ColRef outer_key,
                            db::ColRef inner_key,

@@ -1,6 +1,9 @@
 // End-to-end engine tests: result correctness with every estimator family,
 // re-optimization behavior, and the time decomposition.
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "engine/engine.h"
 #include "lpce/estimators.h"
+#include "optimizer/planner.h"
 #include "workload/workload.h"
 
 namespace lpce::eng {
@@ -99,6 +103,7 @@ TEST_F(EngineTest, ReoptOverLatePseudoScansMatchesRowOracle) {
     return out;
   };
   const std::vector<RunStats> oracle = run_all(/*batch=*/0, /*pool=*/1);
+  std::vector<RunStats> vectorized_peaks;
 
   // The workload must actually exercise the widened coverage: some round
   // after the first runs a merge or nested-loop join fed by a pseudo scan.
@@ -133,9 +138,143 @@ TEST_F(EngineTest, ReoptOverLatePseudoScansMatchesRowOracle) {
                   oracle[q].peak_intermediate_bytes)
             << q;
       }
+      // Row-id intermediates have the same size at every batch and pool
+      // size, so the peak does too.
+      if (batch == 1 && pool == 1) {
+        vectorized_peaks = got;
+      } else {
+        for (size_t q = 0; q < got.size(); ++q) {
+          EXPECT_EQ(got[q].peak_intermediate_bytes,
+                    vectorized_peaks[q].peak_intermediate_bytes)
+              << q;
+        }
+      }
     }
   }
   common::SetGlobalPoolSize(0);
+}
+
+TEST_F(EngineTest, PseudoScansShareFinishedRowIdColumns) {
+  // The engine's re-optimization round, step by step: the first run trips a
+  // checkpoint, its maximal executed subtrees become plan units, and the
+  // continued plan replays them as pseudo scans. A pseudo scan hands the
+  // finished intermediate's row-id columns through by pointer (no element
+  // is copied), and peak_intermediate_bytes still counts them in full, as
+  // the sum of every retained rowset. The continued run's result, and its
+  // deterministic trace, match the row oracle's.
+  card::HistogramEstimator histogram(&stats_);
+  UnderEstimator under(&histogram);
+  opt::Planner planner(database_.get(), opt::CostModel{});
+  struct Round {
+    bool tripped = false;
+    uint64_t rows = 0;
+    std::string trace;
+  };
+  // Runs `labeled` for up to two rounds; on the vectorized path, counts the
+  // pseudo-scan columns checked for sharing into *shared_cols.
+  auto reopt_round = [&](const wk::LabeledQuery& labeled, int batch,
+                         int* shared_cols) -> Round {
+    const qry::Query& query = labeled.query;
+    under.PrepareQuery(query);
+    std::unique_ptr<exec::PlanNode> plan = planner.Plan(query, &under).plan;
+    exec::Executor executor(database_.get(), &query);
+    exec::Executor::Options options;
+    options.batch_size = batch;
+    options.enable_checkpoints = true;
+    options.qerror_threshold = 10.0;
+    Round round;
+    exec::Executor::RunResult first = executor.Run(plan.get(), options);
+    if (first.tripped == nullptr) return round;
+    round.tripped = true;
+    // As in the engine, executed subsets are pinned to their actual sizes.
+    card::ObservedOverlay overlay(&under);
+    std::vector<opt::PlanUnit> units;
+    qry::RelSet covered = 0;
+    std::function<void(exec::PlanNode*)> collect = [&](exec::PlanNode* node) {
+      if (node->executed) {
+        opt::PlanUnit unit;
+        unit.rels = node->rels;
+        unit.materialized = first.finished.at(node);
+        unit.known_card = static_cast<double>(node->actual_card);
+        covered |= node->rels;
+        units.push_back(std::move(unit));
+        return;
+      }
+      if (node->is_join()) {
+        collect(node->outer.get());
+        collect(node->inner.get());
+      }
+    };
+    collect(plan.get());
+    std::vector<exec::PlanNode*> executed;
+    exec::PostOrderPlan(plan.get(), &executed);
+    for (exec::PlanNode* node : executed) {
+      if (!node->executed) continue;
+      overlay.ObserveActual(query, node->rels,
+                            static_cast<double>(node->actual_card));
+    }
+    for (int pos = 0; pos < query.num_tables(); ++pos) {
+      if (qry::Contains(covered, pos)) continue;
+      opt::PlanUnit unit;
+      unit.rels = qry::Bit(pos);
+      unit.table_pos = pos;
+      units.push_back(std::move(unit));
+    }
+    std::unique_ptr<exec::PlanNode> next =
+        planner.PlanUnits(query, &overlay, units).plan;
+    QueryTrace trace;
+    options.enable_checkpoints = false;
+    options.trace = &trace;
+    exec::Executor::RunResult second = executor.Run(next.get(), options);
+    EXPECT_NE(second.result, nullptr);
+    if (second.result == nullptr) return round;
+    round.rows = second.result->num_rows();
+    round.trace = trace.ToJson(TraceJsonMode::kDeterministic);
+    size_t retained = 0;
+    for (const auto& [node, rs] : second.finished) retained += rs->ByteSize();
+    EXPECT_EQ(executor.peak_intermediate_bytes(), retained);
+    if (batch == 0) return round;
+    std::vector<exec::PlanNode*> nodes;
+    exec::PostOrderPlan(next.get(), &nodes);
+    for (exec::PlanNode* node : nodes) {
+      if (node->op != exec::PhysOp::kPseudoScan) continue;
+      const exec::RowSet& replay = *second.finished.at(node);
+      EXPECT_EQ(replay.row_count, node->pseudo->row_count);
+      for (size_t i = 0; i < replay.rid_cols.size(); ++i) {
+        const int src = node->pseudo->RidIndex(replay.rid_tables[i]);
+        EXPECT_GE(src, 0);
+        if (src < 0) continue;
+        EXPECT_EQ(replay.rid_cols[i].get(), node->pseudo->rid_cols[src].get());
+        ++*shared_cols;
+      }
+    }
+    return round;
+  };
+
+  int shared_cols = 0, rounds = 0;
+  for (const auto& labeled : workload_) {
+    common::SetGlobalPoolSize(1);
+    const Round oracle = reopt_round(labeled, /*batch=*/0, &shared_cols);
+    if (!oracle.tripped) continue;
+    ++rounds;
+    EXPECT_EQ(oracle.rows, labeled.FinalCard());
+    // One query's continued plan runs a large nested-loop join, so this
+    // walks the batch x pool diagonal; ReoptOverLatePseudoScansMatchesRowOracle
+    // covers the full grid through the engine.
+    for (auto [batch, pool] : {std::pair{1, 1}, std::pair{3, 2},
+                               std::pair{1024, 4}}) {
+      SCOPED_TRACE("batch=" + std::to_string(batch) +
+                   " pool=" + std::to_string(pool));
+      common::SetGlobalPoolSize(pool);
+      const Round got = reopt_round(labeled, batch, &shared_cols);
+      EXPECT_TRUE(got.tripped);
+      EXPECT_EQ(got.rows, oracle.rows);
+      EXPECT_EQ(got.trace, oracle.trace);
+    }
+  }
+  common::SetGlobalPoolSize(0);
+  EXPECT_GT(rounds, 0);
+  EXPECT_GT(shared_cols, 0);
 }
 
 TEST_F(EngineTest, DefaultRunConfigRunsVectorizedPath) {

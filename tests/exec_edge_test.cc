@@ -2,8 +2,10 @@
 // merge joins, row-limit aborts, peak-memory accounting, the vectorized
 // path's selection-vector corners (empty batches, all-rows-pass filters,
 // single-row tail batches, batch boundaries straddling join partition
-// chunks), its merge / nested-loop kernels over row-id intermediates, and
-// plans mixing all three join algorithms.
+// chunks), its merge / nested-loop kernels over row-id intermediates, plans
+// mixing all three join algorithms, and every shape of the two-phase late
+// hash join (fan-out, selective, 1:1, count-only root, fused over index rows
+// with residual keys).
 #include <functional>
 #include <limits>
 #include <utility>
@@ -39,14 +41,67 @@ class ExecEdgeTest : public ::testing::Test {
 
   std::unique_ptr<PlanNode> Join(PhysOp op, std::unique_ptr<PlanNode> outer,
                                  std::unique_ptr<PlanNode> inner) {
+    return JoinOn(op, std::move(outer), std::move(inner), {a_, 0}, {b_, 0});
+  }
+
+  std::unique_ptr<PlanNode> JoinOn(PhysOp op, std::unique_ptr<PlanNode> outer,
+                                   std::unique_ptr<PlanNode> inner,
+                                   db::ColRef outer_key, db::ColRef inner_key) {
     auto node = std::make_unique<PlanNode>();
     node->op = op;
     node->rels = outer->rels | inner->rels;
     node->outer = std::move(outer);
     node->inner = std::move(inner);
-    node->outer_key = {a_, 0};
-    node->inner_key = {b_, 0};
+    node->outer_key = outer_key;
+    node->inner_key = inner_key;
     return node;
+  }
+
+  /// Extends the fixture to the chain a.k = b.k, b.w = c.k, c.x = d.k.
+  void AddChainTables() {
+    c_ = database_.AddTable({"c", {{"k"}, {"x"}}});
+    d_ = database_.AddTable({"d", {{"k"}, {"y"}}});
+    database_.catalog().AddJoinEdge({b_, 1}, {c_, 0});
+    database_.catalog().AddJoinEdge({c_, 1}, {d_, 0});
+    query_.tables = {a_, b_, c_, d_};
+    query_.joins = {{{a_, 0}, {b_, 0}}, {{b_, 1}, {c_, 0}}, {{c_, 1}, {d_, 0}}};
+  }
+
+  /// Hash-join chain plans over AddChainTables, together running every late
+  /// hash-join kernel shape: the fused scan join a ⋈ b (emitting a and b row
+  /// ids), an unfused join that emits row ids from both sides
+  /// ((a ⋈ b) ⋈ c with the rowset outer, or c ⋈ (a ⋈ b) with the scan
+  /// outer), and the count-only root ⋈ d.
+  std::unique_ptr<PlanNode> ChainPlan(bool ab_outer) {
+    auto ab = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
+    auto abc = ab_outer ? JoinOn(PhysOp::kHashJoin, std::move(ab), Scan(2),
+                                 {b_, 1}, {c_, 0})
+                        : JoinOn(PhysOp::kHashJoin, Scan(2), std::move(ab),
+                                 {c_, 0}, {b_, 1});
+    return JoinOn(PhysOp::kHashJoin, std::move(abc), Scan(3), {c_, 1}, {d_, 0});
+  }
+
+  /// Both chain plans against the oracle at batch {1, 3, 1024} x pool
+  /// {1, 2, 4}.
+  void ExpectChainPlansMatchRow() {
+    for (bool ab_outer : {true, false}) {
+      SCOPED_TRACE(ab_outer ? "(a b) c" : "c (a b)");
+      ExpectBatchMatchesRow([&] { return ChainPlan(ab_outer); }, {1, 3, 1024},
+                            {1, 2, 4});
+    }
+  }
+
+  /// Output rows of `node` in a row-oracle run of `make_plan()`.
+  uint64_t OracleRows(
+      const std::function<std::unique_ptr<PlanNode>()>& make_plan,
+      const std::function<const PlanNode*(const PlanNode*)>& pick) {
+    auto plan = make_plan();
+    Executor executor(&database_, &query_);
+    Executor::Options options;
+    options.batch_size = 0;
+    Executor::RunResult run = executor.Run(plan.get(), options);
+    EXPECT_NE(run.result, nullptr);
+    return pick(plan.get())->actual_card;
   }
 
   /// Runs `make_plan()` row-at-a-time (the oracle) and vectorized at every
@@ -105,7 +160,7 @@ class ExecEdgeTest : public ::testing::Test {
 
   db::Database database_;
   qry::Query query_;
-  int32_t a_ = -1, b_ = -1;
+  int32_t a_ = -1, b_ = -1, c_ = -1, d_ = -1;
 };
 
 TEST_F(ExecEdgeTest, EmptyTablesJoinToEmpty) {
@@ -636,6 +691,194 @@ TEST_F(ExecEdgeTest, RowLimitTripsInsideLateNestLoopOverHashSubtree) {
     }
   }
   common::SetGlobalPoolSize(0);
+}
+
+TEST_F(ExecEdgeTest, LateHashJoinFanOutWithDuplicateBuildKeysBitIdentical) {
+  // Every probe key meets three equal build keys at each level, so every
+  // matched outer row repeats: the emit phase run-length fills the outer
+  // columns and gathers the inner ones through the match list. 4500 probe +
+  // build rows engage the pool, and the duplicate groups straddle batches.
+  AddChainTables();
+  for (int64_t i = 0; i < 3000; ++i) database_.table(a_).AppendRow({i % 50, i});
+  for (int64_t i = 0; i < 1500; ++i) {
+    database_.table(b_).AppendRow({i % 50, i % 20});
+  }
+  for (int64_t i = 0; i < 60; ++i) {
+    database_.table(c_).AppendRow({i % 20, i % 10});
+  }
+  for (int64_t i = 0; i < 20; ++i) database_.table(d_).AppendRow({i % 10, i});
+  database_.BuildAllIndexes();
+  ExpectChainPlansMatchRow();
+}
+
+TEST_F(ExecEdgeTest, LateHashJoinSelectiveBelowOnePercentBitIdentical) {
+  // Four of 4000 probe candidates match (0.1%) in the fused a ⋈ b and in
+  // c ⋈ (a ⋈ b): the unmatched candidates are compacted away in the probe
+  // phase and never reach emission.
+  AddChainTables();
+  for (int64_t i = 0; i < 4000; ++i) database_.table(a_).AppendRow({i, i});
+  for (int64_t i = 0; i < 400; ++i) {
+    const int64_t key = i < 4 ? i * 1000 : 100000 + i;
+    database_.table(b_).AppendRow({key, i < 4 ? i * 1000 : -1 - i});
+  }
+  for (int64_t i = 0; i < 4000; ++i) database_.table(c_).AppendRow({i, i % 7});
+  for (int64_t i = 0; i < 7; ++i) database_.table(d_).AppendRow({i, i});
+  database_.BuildAllIndexes();
+  const uint64_t ab = OracleRows([&] { return ChainPlan(true); },
+                                 [](const PlanNode* root) {
+                                   return root->outer->outer.get();
+                                 });
+  EXPECT_EQ(ab, 4u);
+  ExpectChainPlansMatchRow();
+}
+
+TEST_F(ExecEdgeTest, LateHashJoinOneToOneEveryOuterRowMatchesBitIdentical) {
+  // Unique keys on every build side, covering every probe key in permuted
+  // order: each outer row matches exactly once, so the outer columns are
+  // gathered through the matched handles.
+  AddChainTables();
+  for (int64_t i = 0; i < 2500; ++i) database_.table(a_).AppendRow({i, i});
+  for (int64_t i = 0; i < 2500; ++i) {
+    database_.table(b_).AppendRow({(i * 7) % 2500, (i * 3) % 2500});
+  }
+  for (int64_t i = 0; i < 2500; ++i) {
+    database_.table(c_).AppendRow({(i * 11) % 2500, i % 50});
+  }
+  for (int64_t i = 0; i < 50; ++i) database_.table(d_).AppendRow({i, i});
+  database_.BuildAllIndexes();
+  const uint64_t root = OracleRows([&] { return ChainPlan(true); },
+                                   [](const PlanNode* r) { return r; });
+  EXPECT_EQ(root, 2500u);
+  ExpectChainPlansMatchRow();
+}
+
+TEST_F(ExecEdgeTest, LateHashJoinCountOnlyRootBitIdentical) {
+  // A root join emits no row-id column: the probe only counts — fused, over
+  // a rowset outer, and with a residual key that still has to refine the
+  // match list before counting.
+  query_.joins.push_back({{a_, 1}, {b_, 1}});
+  for (int64_t i = 0; i < 5000; ++i) {
+    database_.table(a_).AppendRow({i % 97, i % 3});
+    database_.table(b_).AppendRow({i % 89, i % 2});
+  }
+  database_.BuildAllIndexes();
+  for (bool residual : {false, true}) {
+    SCOPED_TRACE(residual ? "residual" : "plain");
+    ExpectBatchMatchesRow(
+        [&] {
+          auto plan = Join(PhysOp::kHashJoin, Scan(0), Scan(1));
+          if (residual) plan->residual_keys.push_back({{a_, 1}, {b_, 1}});
+          return plan;
+        },
+        {1, 3, 1024}, {1, 2, 4});
+  }
+}
+
+TEST_F(ExecEdgeTest, LateFusedScanJoinOverIndexRowsWithResidualKeys) {
+  // The fused scan's candidates are the driving index's row list (key order,
+  // not storage order), refined by a residual filter, probed with a residual
+  // equi-join key — as the emitting bottom join of a chain and as a root.
+  AddChainTables();
+  query_.joins.push_back({{a_, 1}, {b_, 1}});
+  for (int64_t i = 0; i < 4000; ++i) {
+    database_.table(a_).AppendRow({(i * 37) % 400, i % 4});
+  }
+  // Of each key's two b rows, exactly one agrees with a.v on the residual.
+  for (int64_t i = 0; i < 800; ++i) {
+    database_.table(b_).AppendRow({i % 400, (i / 400 + i) % 4});
+  }
+  for (int64_t i = 0; i < 40; ++i) {
+    database_.table(c_).AppendRow({i % 4, i % 5});
+  }
+  for (int64_t i = 0; i < 5; ++i) database_.table(d_).AppendRow({i, i});
+  database_.BuildAllIndexes();
+  const qry::Predicate range{{a_, 0}, qry::CmpOp::kLt, 300};
+  const qry::Predicate ne{{a_, 1}, qry::CmpOp::kNe, 3};
+  auto fused_ab = [&] {
+    auto scan = Scan(0, {range, ne});
+    scan->op = PhysOp::kIndexScan;
+    scan->index_col = {a_, 0};
+    auto ab = Join(PhysOp::kHashJoin, std::move(scan), Scan(1));
+    ab->residual_keys.push_back({{a_, 1}, {b_, 1}});
+    return ab;
+  };
+  ExpectBatchMatchesRow(fused_ab, {1, 3, 1024}, {1, 2, 4});
+  ExpectBatchMatchesRow(
+      [&] {
+        auto abc = JoinOn(PhysOp::kHashJoin, fused_ab(), Scan(2), {b_, 1},
+                          {c_, 0});
+        return JoinOn(PhysOp::kHashJoin, std::move(abc), Scan(3), {c_, 1},
+                      {d_, 0});
+      },
+      {1, 3, 1024}, {1, 2, 4});
+}
+
+TEST_F(ExecEdgeTest, LateHashJoinRowLimitAtTotalAndOneBelowOnFanOut) {
+  // max_rows = the fan-out join's output size must not trip, one below must,
+  // exactly like the oracle — fused (whose truncated scan by-product is then
+  // recomputed, so the outer scan's cardinality still matches) and unfused.
+  AddChainTables();
+  for (int64_t i = 0; i < 3000; ++i) database_.table(a_).AppendRow({i % 40, i});
+  for (int64_t i = 0; i < 1200; ++i) {
+    database_.table(b_).AppendRow({i % 40, i % 3});
+  }
+  for (int64_t i = 0; i < 6; ++i) database_.table(c_).AppendRow({i % 3, i});
+  database_.BuildAllIndexes();
+  const qry::Predicate keep{{a_, 1}, qry::CmpOp::kNe, 7};
+  // Fused a ⋈ b (each kept a row matches 30 b rows), or its output probed by
+  // c (two matches per row) — the largest join in either plan is its root.
+  auto make = [&](bool fused) -> std::unique_ptr<PlanNode> {
+    auto ab = Join(PhysOp::kHashJoin, Scan(0, {keep}), Scan(1));
+    if (fused) return ab;
+    return JoinOn(PhysOp::kHashJoin, Scan(2), std::move(ab), {c_, 0}, {b_, 1});
+  };
+  for (bool fused : {true, false}) {
+    const uint64_t total = OracleRows([&] { return make(fused); },
+                                      [](const PlanNode* r) { return r; });
+    EXPECT_EQ(total, fused ? 2999u * 30u : 2999u * 60u);
+    for (uint64_t limit : {total, total - 1}) {
+      struct Outcome {
+        bool aborted = false;
+        std::vector<int> finished;  // post-order
+        std::vector<uint64_t> actuals;
+      };
+      auto run = [&](int batch, int pool) {
+        common::SetGlobalPoolSize(pool);
+        auto plan = make(fused);
+        Executor executor(&database_, &query_);
+        Executor::Options options;
+        options.batch_size = batch;
+        options.max_node_rows = limit;
+        Executor::RunResult result = executor.Run(plan.get(), options);
+        common::SetGlobalPoolSize(0);
+        Outcome out;
+        out.aborted = result.aborted;
+        EXPECT_EQ(result.result == nullptr, result.aborted);
+        std::vector<PlanNode*> nodes;
+        PostOrderPlan(plan.get(), &nodes);
+        for (PlanNode* node : nodes) {
+          const bool done = result.finished.count(node) > 0;
+          out.finished.push_back(done);
+          out.actuals.push_back(done ? node->actual_card : 0);
+        }
+        return out;
+      };
+      const Outcome oracle = run(/*batch=*/0, /*pool=*/1);
+      EXPECT_EQ(oracle.aborted, limit < total);
+      for (int batch : {1, 3, 1024}) {
+        for (int pool : {1, 2, 4}) {
+          SCOPED_TRACE(std::string(fused ? "fused" : "unfused") +
+                       " limit=" + std::to_string(limit) +
+                       " batch=" + std::to_string(batch) +
+                       " pool=" + std::to_string(pool));
+          const Outcome got = run(batch, pool);
+          EXPECT_EQ(got.aborted, oracle.aborted);
+          EXPECT_EQ(got.finished, oracle.finished);
+          EXPECT_EQ(got.actuals, oracle.actuals);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
